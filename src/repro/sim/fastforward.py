@@ -67,10 +67,12 @@ passed blocks nothing and classifies as nothing.
 
 Two cost controls keep the planner cheap on cycles it cannot skip:
 
-* the per-warp head scan reuses the SM's incremental classification
-  cache (``(popped, scoreboard version)``-stamped), optionally mirrored
-  into numpy arrays (:class:`repro.sim.vectorize.HeadStatusBatch`) so
-  the ready/pending/bound reductions run vectorised; and
+* its work is proportional to the live warps, not the warp slots: the
+  fetch engine's needy-slot mask answers "does fetch still stream?" in
+  one integer test before any per-warp work, and the head scan walks
+  only the resident warps, reusing the SM's incremental classification
+  cache (``(popped, scoreboard version)``-stamped) and one persistent
+  :class:`SchedulerView`; and
 * a failed plan arms an exponential backoff (up to
   :data:`PLAN_BACKOFF_CAP` cycles between attempts), so issue-bound
   stretches degrade to a handful of attribute checks per cycle.
@@ -85,13 +87,9 @@ to serial runs by construction.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.isa.optypes import ExecUnitKind, OpClass
+from repro.isa.optypes import ALL_OP_CLASSES, ExecUnitKind, OpClass
 from repro.power.gating import GatingPolicy
 from repro.sim.sched.base import IssueCandidate, SchedulerView
-from repro.sim.vectorize import (HeadStatusBatch, OP_CLASSES,
-                                 numpy_available)
 
 #: Floor of the failed-plan backoff cap: after repeated failures the
 #: planner re-arms at most this many cycles later.  Tuned on the
@@ -130,10 +128,6 @@ DENSE_WINDOW = 8192
 #: span-skipping at roughly a third of cycles skipped.)
 DENSE_SKIP_FRACTION = 0.25
 
-#: Slot-count threshold below which the numpy batch costs more than the
-#: plain Python accumulation it replaces.
-BATCH_MIN_SLOTS = 16
-
 
 class SpanFastForwarder:
     """Plans and applies quiescent-span skips for one SM run.
@@ -142,7 +136,7 @@ class SpanFastForwarder:
     is requested, after all domains and hooks are attached.
     """
 
-    def __init__(self, sm, use_numpy: Optional[bool] = None) -> None:
+    def __init__(self, sm) -> None:
         self.sm = sm
         #: Cycles jumped over instead of stepped (diagnostics only).
         self.skipped_cycles = 0
@@ -151,7 +145,9 @@ class SpanFastForwarder:
         #: Number of planning attempts (diagnostics only).
         self.plans = 0
         self._pending_count = 0
-        self._view: Optional[SchedulerView] = None
+        #: The frozen scheduler view of the last plan; refilled by every
+        #: plan that reaches the head scan, read by ``_apply``.
+        self._view = SchedulerView()
         self._next_plan = 0
         self._backoff = 0
         #: Adaptive ceiling of the failed-plan backoff (satellite of the
@@ -173,11 +169,6 @@ class SpanFastForwarder:
         self._dense_enabled = getattr(sm, "dense_kernel", None) \
             is not False
         self.supported = self._check_supported()
-        if use_numpy is None:
-            use_numpy = (numpy_available()
-                         and len(sm.warps) >= BATCH_MIN_SLOTS)
-        self._batch = (HeadStatusBatch(len(sm.warps))
-                       if self.supported and use_numpy else None)
 
     # ------------------------------------------------------------------
     # capability check (once per run)
@@ -293,6 +284,8 @@ class SpanFastForwarder:
         self.plans += 1
         if sm.bus.enabled or sm._retry:
             return cycle
+        if sm.fetch.needy:
+            return cycle  # fetch still streams some warp
 
         config = sm.config
         bound: float = config.max_cycles
@@ -320,40 +313,26 @@ class SpanFastForwarder:
             bound = mem_event
 
         threshold = config.memory.pending_threshold
-        ibuffer_entries = sm.fetch.ibuffer_entries
         ages = sm._ages
         all_cands = sm.scheduler.needs_all_candidates
-        batch = self._batch
-        view: Optional[SchedulerView] = None
-        actv = None
-        if batch is None:
-            view = SchedulerView()
-            actv = view.actv_counts
+        view = self._view
+        actv = view.actv_counts
+        for cls in ALL_OP_CLASSES:
+            actv[cls] = 0
         pending = 0
         unresolved_any = False
-        resident = 0
-        free_slot = False
 
-        for warp in sm.warps:
-            if warp.trace is None:
-                free_slot = True
-                if batch is not None:
-                    batch.invalidate(warp.slot)
-                continue
-            resident += 1
-            if warp.finished():
-                return cycle  # slot frees (and may refill) this cycle
+        # Fetch is quiet (checked above), so every resident warp is
+        # trace-exhausted or has a full buffer: an empty buffer means
+        # the warp is draining, and finished once nothing is in flight.
+        for warp in sm._resident:
             buf = warp.ibuffer
-            buffered = len(buf)
-            if buffered < ibuffer_entries \
-                    and warp.fetch_pc < warp.trace_len:
-                return cycle  # fetch still streams this warp
-            if not buffered:
-                if batch is not None:
-                    batch.invalidate(warp.slot)
-                continue  # exhausted, draining outstanding work
+            if not buf:
+                if not warp.outstanding:
+                    return cycle  # slot frees (and may refill) this cycle
+                continue
             scoreboard = warp.scoreboard
-            popped = warp.fetch_pc - buffered
+            popped = warp.fetch_pc - len(buf)
             version = scoreboard.version
             if popped != warp.cache_popped \
                     or version != warp.cache_version:
@@ -372,13 +351,6 @@ class SpanFastForwarder:
                 warp.cand_stalled = (
                     IssueCandidate(warp.slot, age, head, False)
                     if all_cands else None)
-            if batch is not None:
-                if not batch.is_fresh(warp.slot, popped, version):
-                    batch.update(warp.slot, popped, version,
-                                 warp.head_ready_at, warp.head_mem_until,
-                                 warp.head_unresolved,
-                                 warp.head_inst.op_class)
-                continue
             if warp.head_unresolved:
                 pending += 1
                 unresolved_any = True
@@ -394,19 +366,6 @@ class SpanFastForwarder:
                 actv[warp.head_inst.op_class] += 1
                 if warp.head_ready_at < bound:
                     bound = warp.head_ready_at
-
-        if batch is not None:
-            (ready_any, pending, unresolved_any, actv_counts,
-             sb_bound) = batch.classify(cycle)
-            if ready_any:
-                return cycle
-            if sb_bound is not None and sb_bound < bound:
-                bound = sb_bound
-            view = SchedulerView()
-            actv = view.actv_counts
-            for index, count in enumerate(actv_counts.tolist()):
-                if count:
-                    actv[OP_CLASSES[index]] = count
 
         if unresolved_any and not ldst_flight:
             # An unresolved load with no LDST completion to bound its
@@ -441,7 +400,8 @@ class SpanFastForwarder:
             if event < bound:
                 bound = event
 
-        if sm.launcher.remaining and free_slot:
+        resident = len(sm._resident)
+        if sm.launcher.remaining and resident < len(sm.warps):
             event = sm.launcher.launch_blocked_until(cycle, resident)
             if event <= cycle:
                 return cycle
@@ -456,7 +416,6 @@ class SpanFastForwarder:
         if sm.scheduler.idle_flip_pending(cycle, view):
             return cycle
 
-        self._view = view
         self._pending_count = pending
         return int(bound)
 
@@ -474,16 +433,17 @@ class SpanFastForwarder:
         sm = self.sm
         span = target - cycle
         stats = sm.stats
-        view = self._view
-        assert view is not None
+        actv = self._view.actv_counts
 
-        # stage 4: classification samples
-        n_active = sum(view.actv_counts.values())
+        # stage 4: classification samples.  Coordinated Blackout
+        # policies read sm.actv_counts during the span, and the next
+        # plan refills the planner's view, so copy rather than alias.
+        n_active = sum(actv.values())
         stats.active_warp_sum += span * n_active
         stats.pending_warp_sum += span * self._pending_count
         if n_active > stats.active_warp_max:
             stats.active_warp_max = n_active
-        sm.actv_counts = view.actv_counts
+        sm.actv_counts.update(actv)
 
         # stage 3: fetch round-robin pointer
         sm.fetch.skip_idle_cycles(span, len(sm.warps))
@@ -509,9 +469,3 @@ class SpanFastForwarder:
         stats.cycles += span
         self.skipped_cycles += span
         self.skips += 1
-        self._view = None
-
-
-#: Backwards-compatible alias — PR 4 shipped the idle-only forwarder
-#: under this name and external scripts may still import it.
-IdleFastForwarder = SpanFastForwarder

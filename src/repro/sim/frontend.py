@@ -24,27 +24,30 @@ from repro.sim.scoreboard import Scoreboard
 class WarpContext:
     """Runtime state of one resident warp slot.
 
-    Slotted and deliberately property-light on the hot paths: the fetch
-    and classification stages touch every resident warp every cycle, so
-    the per-warp state they read (``trace_len``, ``trace_insts``, the
-    ``head_*`` classification cache) is stored as plain attributes.
+    Slotted and deliberately property-light on the hot paths: the
+    per-warp state fetch and classification read (``trace_len``,
+    ``trace_insts``, the ``head_*`` classification cache) is stored as
+    plain attributes.
+
+    Once a :class:`FetchEngine` owns the slot list, the three calls
+    that can make a warp need fetch — :meth:`assign`, :meth:`pop_head`
+    and :meth:`release` (which ends the need) — keep the engine's
+    needy-slot mask exact, so nothing else may mutate ``ibuffer`` or
+    ``fetch_pc`` of a bound warp.
     """
 
     __slots__ = ("slot", "trace", "trace_len", "trace_insts", "fetch_pc",
                  "ibuffer", "scoreboard", "retired", "outstanding",
                  "cache_popped", "cache_version", "head_inst",
                  "head_ready_at", "head_mem_until", "head_unresolved",
-                 "cand_ready", "cand_stalled")
-
-    #: Class-wide assignment generation, bumped on every ``assign``.
-    #: The fetch engine's quiescent fast path (all occupied slots
-    #: trace-exhausted => nothing to fetch until a new warp arrives)
-    #: keys its validity on this, so it self-invalidates no matter who
-    #: assigns the warp — no wiring between launcher and fetch engine.
-    assign_generation = 0
+                 "cand_ready", "cand_stalled", "fetch", "fetch_bit")
 
     def __init__(self, slot: int) -> None:
         self.slot = slot
+        #: The fetch engine owning this slot (set by FetchEngine.bind)
+        #: and this slot's bit in its needy mask.
+        self.fetch: Optional["FetchEngine"] = None
+        self.fetch_bit = 1 << slot
         self.trace: Optional[WarpTrace] = None
         #: len(trace), 0 while unoccupied — ``fetch_pc >= trace_len`` is
         #: the branch the fetch loop takes per warp per cycle.
@@ -78,7 +81,6 @@ class WarpContext:
 
     def assign(self, trace: WarpTrace) -> None:
         """Occupy this slot with a freshly launched warp."""
-        WarpContext.assign_generation += 1
         self.trace = trace
         self.trace_len = len(trace)
         self.trace_insts = trace.instructions
@@ -88,6 +90,12 @@ class WarpContext:
         self.retired = 0
         self.outstanding = 0
         self.cache_popped = -1
+        fetch = self.fetch
+        if fetch is not None:
+            if self.trace_len:
+                fetch.needy |= self.fetch_bit
+            else:
+                fetch.needy &= ~self.fetch_bit
 
     @property
     def occupied(self) -> bool:
@@ -109,11 +117,20 @@ class WarpContext:
         return self.ibuffer[0] if self.ibuffer else None
 
     def pop_head(self) -> Instruction:
-        """Remove the head instruction at issue."""
+        """Remove the head instruction at issue.
+
+        The buffer now has room, so a warp with trace left needs fetch.
+        """
+        fetch = self.fetch
+        if fetch is not None and self.fetch_pc < self.trace_len:
+            fetch.needy |= self.fetch_bit
         return self.ibuffer.popleft()
 
     def release(self) -> None:
         """Free the slot after the warp fully completes."""
+        fetch = self.fetch
+        if fetch is not None:
+            fetch.needy &= ~self.fetch_bit
         self.trace = None
         self.trace_len = 0
         self.trace_insts = ()
@@ -124,7 +141,15 @@ class WarpContext:
 
 
 class FetchEngine:
-    """Round-robin fetch/decode feeding the per-warp I-buffers."""
+    """Round-robin fetch/decode feeding the per-warp I-buffers.
+
+    Per-cycle cost is proportional to the warps that need fetch, not to
+    the slot count: :attr:`needy` holds one bit per slot, set exactly
+    when the slot is occupied, has unfetched trace and has I-buffer
+    room.  The bound :class:`WarpContext` objects set bits as they gain
+    that need (assign, issue pop) and clear them on release; ``tick``
+    clears the bits of the warps it tops up or runs dry.
+    """
 
     def __init__(self, fetch_width: int, ibuffer_entries: int) -> None:
         if fetch_width < 1:
@@ -134,65 +159,79 @@ class FetchEngine:
         self.fetch_width = fetch_width
         self.ibuffer_entries = ibuffer_entries
         self._rr_start = 0
-        #: assign_generation at the moment a full scan found no warp
-        #: with unfetched trace; while it still matches, tick only
-        #: rotates the round-robin pointer (the drain-tail fast path).
-        self._quiet_gen = -1
+        #: Needy-slot bitmask (bit i <=> warps[i] needs fetch).
+        self.needy = 0
+        self._warps: Optional[List[WarpContext]] = None
+        self._all_bits = 0
+
+    def bind(self, warps: List[WarpContext]) -> None:
+        """Take ownership of ``warps`` and rebuild the mask from scratch.
+
+        ``tick`` binds a new slot list on first sight; the SM binds its
+        list at construction so the mask is valid before the first tick.
+        """
+        self._warps = warps
+        self._all_bits = (1 << len(warps)) - 1
+        entries = self.ibuffer_entries
+        needy = 0
+        for index, warp in enumerate(warps):
+            warp.fetch = self
+            warp.fetch_bit = 1 << index
+            if warp.fetch_pc < warp.trace_len \
+                    and len(warp.ibuffer) < entries:
+                needy |= warp.fetch_bit
+        self.needy = needy
 
     def tick(self, warps: List[WarpContext]) -> int:
         """Fetch up to ``fetch_width`` instructions into needy buffers.
 
-        Round-robins across warp slots so no warp starves the front end.
-        Returns the number of instructions fetched (statistics).
-
-        Hot path: runs every cycle over every slot, so the per-warp
-        skip test is two plain attribute compares (an unoccupied slot
-        has ``trace_len == 0`` and counts as exhausted) and the fill is
-        a bulk slice of the precomputed instruction sequence.
+        Round-robins across warp slots so no warp starves the front end:
+        the scan starts one slot later every cycle and visits the needy
+        slots in cyclic slot order.  Returns the number of instructions
+        fetched (statistics).
         """
+        if warps is not self._warps:
+            self.bind(warps)
         n = len(warps)
         if n == 0:
             return 0
-        if self._quiet_gen == WarpContext.assign_generation:
-            # Every occupied slot was trace-exhausted at the last full
-            # scan and no warp has been assigned since: nothing can be
-            # fetched, only the round-robin pointer moves.
-            self._rr_start = (self._rr_start + 1) % n
+        start = self._rr_start
+        self._rr_start = start + 1 if start + 1 < n else 0
+        needy = self.needy
+        if not needy:
             return 0
-        fetched = 0
-        any_room = False
+        # Rotate the mask so bit 0 is slot ``start``: lowest set bit
+        # first is then exactly the round-robin visiting order.
+        pending = (needy >> start) \
+            | ((needy << (n - start)) & self._all_bits)
         width = self.fetch_width
         entries = self.ibuffer_entries
-        i = self._rr_start
-        self._rr_start = (i + 1) % n
-        for _ in range(n):
-            warp = warps[i]
-            i += 1
-            if i == n:
-                i = 0
+        fetched = 0
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            index = start + low.bit_length() - 1
+            if index >= n:
+                index -= n
+            warp = warps[index]
             pc = warp.fetch_pc
-            room = warp.trace_len - pc
-            if room <= 0:
-                continue
-            any_room = True
             buf = warp.ibuffer
-            free = entries - len(buf)
-            if free <= 0:
-                continue
             take = width - fetched
-            if take > free:
-                take = free
-            if take > room:
-                take = room
-            insts = warp.trace_insts
-            for k in range(pc, pc + take):
-                buf.append(insts[k])
+            free = entries - len(buf)
+            room = warp.trace_len - pc
+            if take >= free or take >= room:
+                # This fill tops the buffer up or runs the trace dry.
+                if take > free:
+                    take = free
+                if take > room:
+                    take = room
+                needy ^= warp.fetch_bit
+            buf.extend(warp.trace_insts[pc:pc + take])
             warp.fetch_pc = pc + take
             fetched += take
             if fetched >= width:
                 break
-        if not any_room:
-            self._quiet_gen = WarpContext.assign_generation
+        self.needy = needy
         return fetched
 
     def skip_idle_cycles(self, span: int, n_warps: int) -> None:

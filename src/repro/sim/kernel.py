@@ -8,14 +8,11 @@ of re-deriving the whole classification every cycle.
 
 Two layers share the work:
 
-* **Window entry** — the per-slot head summaries are mirrored into a
-  structure-of-arrays block (:class:`repro.sim.vectorize.
-  WarpStateBlock`: head status, ready-at, mem-until, op-class index,
-  age, destination register) and the whole population is classified in
-  one batched numpy pass (``dense_classify``), seeding the incremental
-  state below.  Rows follow the same ``(popped, scoreboard version)``
-  stamp discipline as the scalar cache, so re-entering a window after
-  a quiet stretch costs two list lookups per unchanged warp.
+* **Window entry** — every resident warp with a head is classified
+  once from its memoised head summary, seeding the incremental state
+  below.  The summaries follow the ``(popped, scoreboard version)``
+  stamp discipline of the scalar cache, so re-entering a window after
+  a quiet stretch costs two integer compares per unchanged warp.
 * **Per cycle** — classification is maintained *by delta*, not
   recomputed: each slot carries a category (no head / unresolved /
   memory-pending / active-not-ready / ready); aggregate counts, the
@@ -26,8 +23,8 @@ Two layers share the work:
   come from exactly the events that can invalidate the scalar cache.
   (Per-cycle numpy reductions over <= 48 slots were measured slower
   than the Python they replace — per-call overhead dominates at this
-  width — which is why the batched pass runs at window entry and the
-  cycle loop is event-driven.  ``docs/performance.md`` has numbers.)
+  width — which is why the cycle loop is event-driven.
+  ``docs/performance.md`` has numbers.)
 
 The synchronisation rules mirror the scalar cache's invalidation
 conditions, which are complete by construction:
@@ -61,12 +58,8 @@ a kernel-stepped window is bit-identical to the same cycles stepped
 serially, and the golden identity harness pins that for every
 technique.
 
-When numpy is unavailable (or ``REPRO_PURE_PYTHON`` is set) the kernel
-chooses, at construction, a pure-Python window-entry seeding in place
-of the batched pass — decision-identical by the same argument, and the
-per-cycle engine is shared, so the no-numpy install keeps the dense
-speedup.  This module (and the scoreboard it leans on) is also a
-target of the optional mypyc build (``pip install -e .[compiled]``).
+This module (and the scoreboard it leans on) is also a target of the
+optional mypyc build (``pip install -e .[compiled]``).
 """
 
 from __future__ import annotations
@@ -75,11 +68,10 @@ from bisect import bisect_left, insort
 from heapq import heappop, heappush
 from typing import List, Optional, Set
 
-from repro.isa.optypes import OpClass
+from repro.isa.optypes import ALL_OP_CLASSES, OpClass
 from repro.obs.events import IssueStall
 from repro.power.gating import DomainState
 from repro.sim.sched.base import IssueCandidate
-from repro.sim.vectorize import OP_CLASSES, WarpStateBlock, numpy_available
 
 _CUDA_OP_CLASSES = (OpClass.INT, OpClass.FP)
 
@@ -95,23 +87,16 @@ class DenseStepKernel:
     is dense, or by :meth:`StreamingMultiprocessor.run` when the run is
     forced through the kernel (``dense_kernel=True``).  One instance
     serves one SM run; :meth:`run_window` may be called any number of
-    times and resynchronises its state block on entry.
+    times and resynchronises its classification state on entry.
     """
 
-    def __init__(self, sm, use_numpy: Optional[bool] = None) -> None:
+    def __init__(self, sm) -> None:
         self.sm = sm
-        if use_numpy is None:
-            use_numpy = numpy_available()
-        #: Whether window entry uses the batched numpy classification
-        #: (False → the decision-identical pure-Python seeding).
-        self.vectorized = bool(use_numpy)
         #: Cycles executed through the kernel (diagnostics only — never
         #: part of a run's metrics, like the forwarder's skip counters).
         self.cycles = 0
         #: Windows executed (diagnostics only).
         self.windows = 0
-        self.block: Optional[WarpStateBlock] = (
-            WarpStateBlock(len(sm.warps)) if self.vectorized else None)
         n_slots = len(sm.warps)
         #: Resident slots whose I-buffer is empty with trace left to
         #: fetch: the only slots a fetch tick can flip NO_HEAD → KNOWN.
@@ -185,15 +170,14 @@ class DenseStepKernel:
         """Rebuild the whole classification state at ``cycle``.
 
         Called at window entry and after any residency change.  Warp
-        caches (and block rows) whose ``(popped, version)`` stamp is
-        unchanged cost two list lookups each; the classification itself
-        is one batched pass when vectorized.
+        caches whose ``(popped, version)`` stamp is unchanged cost two
+        integer compares each.
         """
         sm = self.sm
         n_slots = len(sm.warps)
-        self._cat = cat = [CAT_NONE] * n_slots
+        self._cat = [CAT_NONE] * n_slots
         self._gen = [0] * n_slots
-        self._heap = heap = []
+        self._heap = []
         self._n_active = 0
         self._n_pending = 0
         self._actv4 = [0, 0, 0, 0]
@@ -204,70 +188,14 @@ class DenseStepKernel:
         empty = self._empty
         empty.clear()
         self._dirty.clear()
-        block = self.block
-        resident = []
-        for warp in sm.warps:
-            if warp.trace is None:
-                if block is not None:
-                    block.invalidate(warp.slot)
-                continue
+        for warp in sm._resident:
             buf = warp.ibuffer
             if not buf:
-                if block is not None:
-                    block.invalidate(warp.slot)
                 if warp.fetch_pc < warp.trace_len:
                     empty.add(warp.slot)
                 continue
             self._refresh_cache(warp, buf)
-            resident.append(warp)
-        if block is None:
-            for warp in resident:
-                self._classify_slot(warp, cycle)
-            return
-        # Batched seeding: mirror fresh rows, classify the population
-        # in one vector pass, then walk only the non-ready slots for
-        # their transition events.
-        for warp in resident:
-            slot = warp.slot
-            popped = warp.fetch_pc - len(warp.ibuffer)
-            version = warp.scoreboard.version
-            if not block.is_fresh(slot, popped, version):
-                head = warp.head_inst
-                dest = head.dest
-                block.update_row(slot, popped, version,
-                                 warp.head_ready_at, warp.head_mem_until,
-                                 warp.head_unresolved, head.op_class,
-                                 self.sm._ages[slot],
-                                 -1 if dest is None else dest)
-        generic = self._mode is None
-        (n_active, n_pending, actv4, ready,
-         active_slots) = block.dense_classify(cycle, generic)
-        self._n_active = n_active
-        self._n_pending = n_pending
-        self._actv4 = list(actv4)
-        if generic:
-            self._active_all = active_slots
-        if ready is not None:
-            self._ready_all = ready_list = ready.tolist()
-            ready_cls = self._ready_cls
-            for slot, opx in zip(ready_list,
-                                 block.op_index[ready].tolist()):
-                cat[slot] = CAT_READY
-                ready_cls[opx].append(slot)
-        opx_list = self._opx
-        for warp in resident:
-            slot = warp.slot
-            opx_list[slot] = int(warp.head_inst.op_class)
-            if cat[slot] == CAT_READY:
-                continue
-            if warp.head_unresolved:
-                cat[slot] = CAT_UNRES
-            elif cycle < warp.head_mem_until:
-                cat[slot] = CAT_PEND
-                heappush(heap, (warp.head_mem_until, slot, 0))
-            else:
-                cat[slot] = CAT_WAIT
-                heappush(heap, (warp.head_ready_at, slot, 0))
+            self._classify_slot(warp, cycle)
 
     def _refresh_cache(self, warp, buf) -> None:
         """The scalar stamp-guarded head-summary refresh, verbatim.
@@ -408,7 +336,7 @@ class DenseStepKernel:
         view = sm._view
         actv = view.actv_counts
         actv4 = self._actv4
-        for index, cls in enumerate(OP_CLASSES):
+        for index, cls in enumerate(ALL_OP_CLASSES):
             actv[cls] = actv4[index]
         sm.actv_counts = actv
         if sm._has_blackout:
@@ -524,7 +452,7 @@ class DenseStepKernel:
             candidates: List[IssueCandidate] = []
             rdy = view.rdy_counts
             ready_cls = self._ready_cls
-            for index, cls in enumerate(OP_CLASSES):
+            for index, cls in enumerate(ALL_OP_CLASSES):
                 rdy[cls] = len(ready_cls[index])
             active_all = self._active_all
             if active_all:
@@ -634,7 +562,7 @@ class DenseStepKernel:
                     bus.publish(IssueStall(cycle, "structural"))
                 continue
             warp = warps[slot]
-            warp.ibuffer.popleft()
+            warp.pop_head()
             conflict = (regfile.charge(slot, inst)
                         if regfile is not None else 0)
             warp.scoreboard.record_issue(inst, cycle + conflict)

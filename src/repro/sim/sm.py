@@ -205,6 +205,7 @@ class StreamingMultiprocessor:
         n_slots = min([config.max_resident_warps]
                       + [k.max_resident_warps for k in self.kernels])
         self.warps: List[WarpContext] = [WarpContext(i) for i in range(n_slots)]
+        self.fetch.bind(self.warps)
         if len(self.kernels) == 1 and kernel_gap_cycles == 0:
             self.launcher = WarpLauncher(self.kernel, n_slots)
         else:
@@ -709,7 +710,7 @@ class StreamingMultiprocessor:
                         bus.publish(IssueStall(cycle, "structural"))
                     continue
                 warp = warps[slot]
-                warp.ibuffer.popleft()
+                warp.pop_head()
                 # Operand-collector bank conflicts delay both the
                 # dispatch port and the result; the scoreboard sees the
                 # late start.

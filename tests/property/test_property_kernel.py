@@ -1,10 +1,10 @@
 """Property tests: the dense-step kernel is decision-identical.
 
 Each example builds a random small workload, runs it serially, through
-the forced dense kernel (``dense_kernel=True``) and through the
-kernel's pure-Python seeding path, and requires the canonical result
-form — every stats counter, gating counter, idle histogram, warp
-record and flat metric — to match exactly.  The golden identity suite
+the forced dense kernel (``dense_kernel=True``) and through a directly
+driven kernel core, and requires the canonical result form — every
+stats counter, gating counter, idle histogram, warp record and flat
+metric — to match exactly.  The golden identity suite
 pins the real benchmarks; this sweeps the odd corners random traces
 reach (single warps, tiny traces, degenerate mixes, tiny MSHR files)
 where window-resync and event-heap edge cases live.
@@ -17,7 +17,6 @@ from repro.isa.optypes import ALL_OP_CLASSES
 from repro.isa.tracegen import TraceSpec, generate_kernel
 from repro.sim.config import MemoryConfig, SMConfig
 from repro.sim.kernel import DenseStepKernel
-from repro.sim.vectorize import numpy_available
 from tests.sim.identity import canonical_result
 
 
@@ -57,20 +56,19 @@ def run_one(spec, technique, seed, **kwargs):
     return sm.run()
 
 
-def run_forced(spec, technique, seed, use_numpy):
-    """Run entirely through a DenseStepKernel with explicit seeding.
+def run_forced(spec, technique, seed):
+    """Run entirely through a directly driven DenseStepKernel.
 
-    Drives the core directly (mirroring what ``run()`` does under
-    ``dense_kernel=True``) so the ``use_numpy`` flavour can be forced
-    regardless of what ``numpy_available()`` would choose.
+    Mirrors what ``run()`` does under ``dense_kernel=True``, but drives
+    the core's windows from the test, the way the fast-forward handoff
+    does.
     """
     sm = build_sm(generate_kernel(spec, seed=seed),
                   TechniqueConfig(technique), sm_config=CONFIG)
     sm._ran = True
     sm.scheduler.reset()
     sm._prepare()
-    core = DenseStepKernel(sm, use_numpy=use_numpy)
-    assert core.vectorized is use_numpy
+    core = DenseStepKernel(sm)
     cycle = 0
     while not sm._drained():
         cycle = core.run_window(cycle, sm.config.max_cycles)
@@ -91,19 +89,7 @@ def test_dense_kernel_equals_serial(spec, technique, seed):
 @given(spec=small_specs(), technique=TECHNIQUES,
        seed=st.integers(min_value=0, max_value=50))
 @settings(max_examples=25, deadline=None)
-def test_scalar_seeding_equals_vectorized(spec, technique, seed):
-    """Both window-seeding flavours decide identically to serial.
-
-    ``DenseStepKernel(use_numpy=...)`` is normally chosen at
-    construction from ``numpy_available()``; here each flavour is
-    forced explicitly so the no-numpy install's behaviour is proven on
-    every environment that runs the suite.
-    """
+def test_directly_driven_kernel_equals_serial(spec, technique, seed):
+    """A kernel core driven window by window decides like serial."""
     serial = canonical_result(run_one(spec, technique, seed))
-    scalar = canonical_result(run_forced(spec, technique, seed,
-                                         use_numpy=False))
-    assert scalar == serial
-    if numpy_available():
-        vectorized = canonical_result(run_forced(spec, technique, seed,
-                                                 use_numpy=True))
-        assert vectorized == serial
+    assert canonical_result(run_forced(spec, technique, seed)) == serial

@@ -5,9 +5,7 @@ interesting can happen is real-stepped — idle *and* busy quiescent
 spans alike are jumped; these tests pin the observable contract —
 identical cycles, identical flat metrics, identical gating counters —
 across every technique, and check the forwarder actually skips where
-it should and disables itself where it must.  The numpy-batched and
-scalar head-status planners must agree not just on results but on the
-exact spans they skip.
+it should and disables itself where it must.
 """
 
 import pytest
@@ -82,37 +80,46 @@ def test_enabled_bus_suppresses_skipping():
     assert result.metrics == serial.metrics
 
 
-@pytest.mark.parametrize("bench_name", ("hotspot", "bfs"))
-def test_scalar_and_batch_planners_agree(bench_name):
-    """The numpy-batched head scan is a pure acceleration.
+#: Forwarder coverage summed over the 15 gtx480 parts at scale 1.0:
+#: (skipped_cycles, skips, plans, dense_windows), recorded before the
+#: planner's per-warp scan was restricted to resident warps.
+DEVICE_COVERAGE = {
+    ("bfs", "conv_pg"): (59122, 2455, 8028, 0),
+    ("bfs", "warped_gates"): (56785, 2163, 7998, 0),
+    ("nw", "conv_pg"): (19345, 280, 1095, 0),
+    ("nw", "warped_gates"): (17894, 291, 1220, 0),
+}
 
-    Forcing the scalar and vectorized planners over the same run must
-    yield identical results *and* identical skip accounting — same
-    skipped cycles, same span count — because both classify from the
-    same cached head summaries.
+
+@pytest.mark.parametrize("bench_name,technique", sorted(DEVICE_COVERAGE),
+                         ids=lambda value: value)
+def test_sparse_device_parts_keep_skip_coverage(bench_name, technique):
+    """A speed-only planner change must not shrink what it skips.
+
+    Device parts hold a handful of warps in many slots — the regime the
+    planner's cost controls target — so coverage is pinned exactly there.
     """
-    from repro.sim.fastforward import SpanFastForwarder
-    from repro.sim.vectorize import numpy_available
+    from repro.core.device import device_preset
+    from repro.sim.gpu import GPU, split_kernel
 
-    if not numpy_available():
-        pytest.skip("numpy not available")
-    outcomes = {}
-    for use_numpy in (False, True):
-        kernel = build_kernel(bench_name, seed=0, scale=SCALE)
-        sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
-                      dram_latency=get_profile(bench_name).dram_latency,
-                      fast_forward=False)
-        sm._forwarder = SpanFastForwarder(sm, use_numpy=use_numpy)
-        result = sm.run()
-        outcomes[use_numpy] = (result, sm._forwarder.skipped_cycles,
-                               sm._forwarder.skips)
-    scalar_result, scalar_skipped, scalar_spans = outcomes[False]
-    batch_result, batch_skipped, batch_spans = outcomes[True]
-    assert batch_result.metrics == scalar_result.metrics
-    assert batch_result.domain_stats == scalar_result.domain_stats
-    assert batch_skipped == scalar_skipped
-    assert batch_spans == scalar_spans
-    assert scalar_skipped > 0
+    preset = device_preset("gtx480")
+    latency = get_profile(bench_name).dram_latency
+    gpu = GPU.from_preset("gtx480", technique, dram_latency=latency,
+                          fast_forward=True)
+    parts = split_kernel(build_kernel(bench_name, seed=0, scale=1.0),
+                         preset.n_sms)
+    part_latency = gpu._effective_dram_latency(len(parts))
+    totals = [0, 0, 0, 0]
+    for part in parts:
+        sm = build_sm(part, technique, sm_config=preset.sm,
+                      dram_latency=part_latency, fast_forward=True)
+        sm.run()
+        forwarder = sm._forwarder
+        for index, value in enumerate((
+                forwarder.skipped_cycles, forwarder.skips,
+                forwarder.plans, forwarder.dense_windows)):
+            totals[index] += value
+    assert tuple(totals) == DEVICE_COVERAGE[(bench_name, technique)]
 
 
 def test_max_cycles_overrun_raises_identically():
