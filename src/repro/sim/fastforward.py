@@ -16,25 +16,32 @@ qualify:
   an empty ready list and the gating controllers observe "busy" —
   state drift that is bulk-replayable arithmetic.
 
-:class:`SpanFastForwarder` detects both and jumps the clock over them.
-The design rule that makes bit-identity easy to argue is that **every
-cycle on which anything interesting can happen is real-stepped**
-through the ordinary ``_step`` path; only provably-quiet maximal
-sub-spans are skipped.  "Interesting" cycles are collected as a lower
-bound from every stateful component, each reporting its next
-*state-changing* cycle:
+These are the paper's gating opportunity seen from the simulator: the
+long idle stretches on the execution units are the spans skipped here.
 
-* execution pipelines — the oldest in-flight completion
-  (:meth:`ExecPipeline.next_state_change`); a drain triggers retires,
-  memory accesses and scoreboard resolution, so it always ends a span;
-* memory — the earliest scheduled load delivery or line fill
-  (:meth:`MemorySubsystem.next_completion_cycle`);
-* scoreboards — each head's cached absolute-cycle readiness summary
-  (:meth:`Scoreboard.head_status`): the ready flip at ``ready_at`` and
-  the pending-set exit at ``mem_until`` are the only cycles its
-  classification can change.  A head blocked on an *unresolved* load
-  pends until an LDST completion resolves it, so the LDST pipe's drain
-  bound covers it (no LDST work in flight forces a real step);
+``fast_forward=True`` is one fast path with two halves that
+:meth:`StreamingMultiprocessor.run` alternates, never nesting one in
+the other: :meth:`DenseStepKernel.run_window
+<repro.sim.kernel.DenseStepKernel.run_window>` executes every cycle
+that is not skipped and returns just before a cycle its incremental
+state proves quiet on the warp side; :meth:`SpanFastForwarder.advance`
+then jumps the clock over the quiet span starting there, if one does.
+The design rule that makes bit-identity easy to argue is that **every
+cycle on which anything interesting can happen is executed**; only
+provably-quiet maximal sub-spans are skipped.  "Interesting" cycles
+are collected as a lower bound from every stateful component, each
+reporting its next *state-changing* cycle:
+
+* the warp side, from the kernel (:meth:`DenseStepKernel.quiet_until
+  <repro.sim.kernel.DenseStepKernel.quiet_until>`): no slot ready, no
+  fetch streaming, no retry or finished warp pending, and the earliest
+  of the slots' transition events (a pending window expiring at
+  ``mem_until``, a ready flip at ``ready_at``), the oldest in-flight
+  pipeline completion (:meth:`ExecPipeline.next_state_change`) and the
+  next memory delivery (:meth:`MemorySubsystem.next_completion_cycle`).
+  A head blocked on an *unresolved* load pends until an LDST
+  completion resolves it, so the LDST pipe's drain bound covers it (no
+  LDST work in flight forces an executed cycle);
 * gating domains — while the attached pipeline is idle, gate taking
   effect, blackout expiry, wakeup completion and the policy's
   predicted gate-fire cycle (:meth:`GatingDomain.next_idle_event`);
@@ -42,12 +49,12 @@ bound from every stateful component, each reporting its next
   busy-until watermark (:meth:`GatingDomain.next_busy_event`);
 * cycle hooks — e.g. the adaptive-epoch controller's epoch-closing
   cycle (``idle_next_event``); a hook without that method disables
-  fast-forwarding entirely;
+  skipping entirely;
 * the launcher — the earliest cycle a queued warp could launch
   (``launch_blocked_until``);
 * the scheduler — a pending GATES priority flip under the frozen view
-  (``idle_flip_pending``) forces a real step so the flip happens inside
-  an ordinary ``order`` call;
+  (``idle_flip_pending``) forces an executed cycle so the flip happens
+  inside an ordinary ``order`` call;
 * the run cap — ``config.max_cycles``, so an over-long run raises at
   exactly the serial cycle.
 
@@ -61,114 +68,51 @@ update at all: they accumulate busy/idle *spans* between absolute
 cycle marks, so a skipped stretch lands in the right period when the
 next issue — or the end-of-run flush — integrates it.)  The only
 serial/fast-forward divergence is *internal* scoreboard garbage
-(completed producers are dropped at the next real writeback instead of
-every cycle), which is unobservable: a producer whose ready cycle has
-passed blocks nothing and classifies as nothing.
+(completed producers are dropped at the next executed writeback
+instead of every cycle), which is unobservable: a producer whose ready
+cycle has passed blocks nothing and classifies as nothing.
 
-Two cost controls keep the planner cheap on cycles it cannot skip:
+Planning costs O(gated domains + hooks) on top of the kernel's O(1)
+warp-side verdict, so every quiet cycle is tried — no span start is
+lost to a backoff.  A span that ends where another begins (a pending
+slot turning into a not-yet-ready one, say) chains inside one
+:meth:`~SpanFastForwarder.advance` call.
 
-* its work is proportional to the live warps, not the warp slots: the
-  fetch engine's needy-slot mask answers "does fetch still stream?" in
-  one integer test before any per-warp work, and the head scan walks
-  only the resident warps, reusing the SM's incremental classification
-  cache (``(popped, scoreboard version)``-stamped) and one persistent
-  :class:`SchedulerView`; and
-* a failed plan arms an exponential backoff (up to
-  :data:`PLAN_BACKOFF_CAP` cycles between attempts), so issue-bound
-  stretches degrade to a handful of attribute checks per cycle.
-  Planning *timing* cannot affect results — a missed span start only
-  shrinks the skipped span — so the backoff trades at most a few
-  cycles of coverage for plan cost, never correctness.
-
-Skipping statistics (``skipped_cycles``, ``skips``, ``plans``) live on
-the forwarder, *not* in the run's metrics — results stay byte-identical
+Skipping statistics (``skipped_cycles``, ``skips``) live on the
+forwarder, *not* in the run's metrics — results stay byte-identical
 to serial runs by construction.
 """
 
 from __future__ import annotations
 
-from repro.isa.optypes import ALL_OP_CLASSES, ExecUnitKind, OpClass
+from repro.isa.optypes import ALL_OP_CLASSES, OpClass
 from repro.power.gating import GatingPolicy
-from repro.sim.sched.base import IssueCandidate, SchedulerView
-
-#: Floor of the failed-plan backoff cap: after repeated failures the
-#: planner re-arms at most this many cycles later.  Tuned on the
-#: device-scale bench: tiny against the spans worth skipping (a DRAM
-#: round trip is hundreds of cycles), so the coverage loss stays in the
-#: low percent, while issue-bound stretches still shed most of the
-#: planning cost.
-PLAN_BACKOFF_CAP = 4
-
-#: Ceiling the backoff cap may *adaptively* grow to while the observed
-#: skip fraction stays low (a dense regime keeps failing plans — paying
-#: a plan every 5 cycles there is pure overhead).  Any skip success
-#: walks the cap back down toward :data:`PLAN_BACKOFF_CAP`, so a regime
-#: change costs at most a few shortened spans.
-ADAPTIVE_BACKOFF_CAP = 64
-
-#: Observation window (cycles) over which the skip fraction is measured
-#: before the cap escalates or a dense window is entered.
-ADAPT_WINDOW = 256
-
-#: Consecutive failed plans required (on top of a low skip fraction at
-#: the fully escalated cap) before a window is handed to the dense-step
-#: kernel — the hysteresis that prevents mode thrash on the boundary.
-DENSE_ENTER_STREAK = 8
-
-#: Length of one dense-kernel window.  During the window no spans are
-#: skipped (the kernel real-steps every cycle, batched), so the window
-#: is sized to amortise the planner's re-probe between windows without
-#: committing a skippable regime for long.
-DENSE_WINDOW = 8192
-
-#: Skip-fraction threshold: below this, span-skipping saves less than
-#: batched dense stepping, so the planner escalates its backoff and
-#: eventually hands over to the kernel.  (The kernel's measured win on
-#: the dense single-SM bench is ~1.5-1.8x, which breaks even with
-#: span-skipping at roughly a third of cycles skipped.)
-DENSE_SKIP_FRACTION = 0.25
+from repro.sim.sched.base import SchedulerView
 
 
 class SpanFastForwarder:
     """Plans and applies quiescent-span skips for one SM run.
 
-    Built by :meth:`StreamingMultiprocessor.run` when fast-forwarding
-    is requested, after all domains and hooks are attached.
+    Built by :meth:`StreamingMultiprocessor.run` for every fast-path
+    run, after all domains and hooks are attached, alongside the
+    :class:`~repro.sim.kernel.DenseStepKernel` whose incremental warp
+    state it plans from.
     """
 
-    def __init__(self, sm) -> None:
+    def __init__(self, sm, kernel) -> None:
         self.sm = sm
-        #: Cycles jumped over instead of stepped (diagnostics only).
+        self._kernel = kernel
+        #: Cycles jumped over instead of executed (diagnostics only).
         self.skipped_cycles = 0
         #: Number of skip spans applied.
         self.skips = 0
-        #: Number of planning attempts (diagnostics only).
-        self.plans = 0
-        self._pending_count = 0
         #: The frozen scheduler view of the last plan; refilled by every
-        #: plan that reaches the head scan, read by ``_apply``.
+        #: plan that reaches the scheduler check, read by ``_apply``.
         self._view = SchedulerView()
-        self._next_plan = 0
-        self._backoff = 0
-        #: Adaptive ceiling of the failed-plan backoff (satellite of the
-        #: dense-kernel work): grows toward ADAPTIVE_BACKOFF_CAP while
-        #: the observed skip fraction stays low, shrinks on success.
-        self._backoff_cap = PLAN_BACKOFF_CAP
-        self._fail_streak = 0
-        self._window_mark = 0
-        self._window_skipped = 0
-        #: End of the current dense-kernel window (exclusive); the SM
-        #: main loop hands [cycle, dense_until) to :attr:`kernel` when
-        #: this lies ahead.
-        self.dense_until = 0
-        #: Lazily built DenseStepKernel (mode 3); None until the first
-        #: dense window is entered.
-        self.kernel = None
-        #: Dense windows entered (diagnostics only).
-        self.dense_windows = 0
-        self._dense_enabled = getattr(sm, "dense_kernel", None) \
-            is not False
         self.supported = self._check_supported()
+        # The kernel hands quiet cycles back only when they can be
+        # skipped; otherwise it runs to the end.
+        kernel.stop_when_quiet = self.supported
 
     # ------------------------------------------------------------------
     # capability check (once per run)
@@ -176,6 +120,9 @@ class SpanFastForwarder:
 
     def _check_supported(self) -> bool:
         sm = self.sm
+        if sm.bus.enabled:
+            # Event subscribers see every cycle.
+            return False
         if not sm.scheduler.supports_idle_skip:
             return False
         if sm.regfile is not None:
@@ -206,68 +153,22 @@ class SpanFastForwarder:
     def advance(self, cycle: int) -> int:
         """Skip ahead from ``cycle`` if a quiet span starts here.
 
-        Returns the first cycle that must be real-stepped (== ``cycle``
+        Returns the first cycle that must be executed (== ``cycle``
         when no skip is possible).  On a skip, all bulk accounting for
-        the span [cycle, returned) has been applied.
+        the span [cycle, returned) has been applied; spans that abut
+        are chained.
         """
-        if not self.supported or cycle < self._next_plan:
+        if not self.supported:
             return cycle
+        start = cycle
         target = self._plan(cycle)
-        if target > cycle:
+        while target > cycle:
             self._apply(cycle, target)
-            self._backoff = 0
-            self._fail_streak = 0
-            self._window_skipped += target - cycle
-            cap = self._backoff_cap
-            if cap > PLAN_BACKOFF_CAP:
-                # Success: walk the adaptive cap back down so a regime
-                # change re-arms frequent planning within a few skips.
-                self._backoff_cap = max(PLAN_BACKOFF_CAP, cap >> 1)
-            return target
-        # Failed plan: back off exponentially.  Timing only moves span
-        # *starts* (a span begun mid-backoff is picked up at the next
-        # attempt), never what a skipped span replays.
-        self.sm.stats.planner_overhead_cycles += 1
-        self._fail_streak += 1
-        backoff = self._backoff
-        self._next_plan = cycle + 1 + backoff
-        if backoff < self._backoff_cap:
-            self._backoff = backoff + backoff if backoff else 1
-        else:
-            self._adapt(cycle)
+            cycle = target
+            target = self._plan(cycle)
+        if cycle == start:
+            self.sm.stats.planner_overhead_cycles += 1
         return cycle
-
-    def _adapt(self, cycle: int) -> None:
-        """Adapt to a persistently unskippable stretch (backoff at cap).
-
-        Measures the skip fraction over the trailing observation window;
-        while it stays under :data:`DENSE_SKIP_FRACTION`, first the
-        backoff cap escalates (cheaper probing), then — with the cap
-        fully escalated and a long uninterrupted fail streak — the next
-        :data:`DENSE_WINDOW` cycles are handed to the dense-step kernel.
-        Adaptation timing, like backoff timing, can only move span
-        starts and hand-over points, never what any cycle computes.
-        """
-        elapsed = cycle - self._window_mark
-        if elapsed < ADAPT_WINDOW:
-            return
-        fraction = self._window_skipped / elapsed
-        self._window_mark = cycle
-        self._window_skipped = 0
-        if fraction >= DENSE_SKIP_FRACTION:
-            return
-        if self._backoff_cap < ADAPTIVE_BACKOFF_CAP:
-            self._backoff_cap <<= 1
-        elif self._dense_enabled \
-                and self._fail_streak >= DENSE_ENTER_STREAK:
-            if self.kernel is None:
-                from repro.sim.kernel import DenseStepKernel
-                self.kernel = DenseStepKernel(self.sm)
-            self.dense_until = cycle + DENSE_WINDOW
-            # Measure the next skip fraction from the window's end, so
-            # re-entry needs only one ADAPT_WINDOW of fresh evidence.
-            self._window_mark = self.dense_until
-            self.dense_windows += 1
 
     # ------------------------------------------------------------------
     # planning
@@ -276,101 +177,14 @@ class SpanFastForwarder:
     def _plan(self, cycle: int) -> int:
         """Return the earliest interesting cycle >= ``cycle``.
 
-        Any return <= ``cycle`` means "step normally".  Ordered so the
-        cheap disqualifiers run first — on unskippable cycles this
-        should cost little more than a few attribute checks.
+        Any return <= ``cycle`` means "execute normally".  The kernel's
+        warp-side verdict comes first: on unskippable cycles it costs a
+        few attribute checks.
         """
         sm = self.sm
-        self.plans += 1
-        if sm.bus.enabled or sm._retry:
-            return cycle
-        if sm.fetch.needy:
-            return cycle  # fetch still streams some warp
-
-        config = sm.config
-        bound: float = config.max_cycles
-
-        # Pipeline completions: a drain due this cycle (retire, memory
-        # access, scoreboard resolution) forces a real step; later ones
-        # bound the span.  Port-release times need no bound — with no
-        # ready warp there are no issue attempts, and the structural
-        # check at the span-ending cycle derives from timestamps.
-        ldst_flight = False
-        for pipe in sm.pipelines:
-            nxt = pipe.next_state_change(cycle)
-            if nxt is not None:
-                if nxt <= cycle:
-                    return cycle
-                if nxt < bound:
-                    bound = nxt
-                if pipe.kind is ExecUnitKind.LDST:
-                    ldst_flight = True
-
-        mem_event = sm.memory.next_completion_cycle()
-        if mem_event <= cycle:
-            return cycle
-        if mem_event < bound:
-            bound = mem_event
-
-        threshold = config.memory.pending_threshold
-        ages = sm._ages
-        all_cands = sm.scheduler.needs_all_candidates
-        view = self._view
-        actv = view.actv_counts
-        for cls in ALL_OP_CLASSES:
-            actv[cls] = 0
-        pending = 0
-        unresolved_any = False
-
-        # Fetch is quiet (checked above), so every resident warp is
-        # trace-exhausted or has a full buffer: an empty buffer means
-        # the warp is draining, and finished once nothing is in flight.
-        for warp in sm._resident:
-            buf = warp.ibuffer
-            if not buf:
-                if not warp.outstanding:
-                    return cycle  # slot frees (and may refill) this cycle
-                continue
-            scoreboard = warp.scoreboard
-            popped = warp.fetch_pc - len(buf)
-            version = scoreboard.version
-            if popped != warp.cache_popped \
-                    or version != warp.cache_version:
-                # Same refresh as SM._classify — the planner and the
-                # issue stage share one memoised head summary.
-                head = buf[0]
-                (warp.head_ready_at, warp.head_mem_until,
-                 warp.head_unresolved) = scoreboard.head_status(
-                    head, threshold)
-                warp.cache_popped = popped
-                warp.cache_version = version
-                warp.head_inst = head
-                age = ages[warp.slot]
-                warp.cand_ready = IssueCandidate(warp.slot, age, head,
-                                                 True)
-                warp.cand_stalled = (
-                    IssueCandidate(warp.slot, age, head, False)
-                    if all_cands else None)
-            if warp.head_unresolved:
-                pending += 1
-                unresolved_any = True
-            elif cycle < warp.head_mem_until:
-                # Pending until the threshold crossing; the ready flip
-                # lies strictly beyond it, so mem_until alone bounds.
-                pending += 1
-                if warp.head_mem_until < bound:
-                    bound = warp.head_mem_until
-            else:
-                if cycle >= warp.head_ready_at:
-                    return cycle  # issue will happen
-                actv[warp.head_inst.op_class] += 1
-                if warp.head_ready_at < bound:
-                    bound = warp.head_ready_at
-
-        if unresolved_any and not ldst_flight:
-            # An unresolved load with no LDST completion to bound its
-            # resolution (cannot happen outside retry pressure, which
-            # already bailed) — refuse rather than guess.
+        kernel = self._kernel
+        bound = kernel.quiet_until(cycle, sm.config.max_cycles)
+        if bound <= cycle:
             return cycle
 
         for pipe, domain in sm._gated_pipes:
@@ -408,15 +222,15 @@ class SpanFastForwarder:
             if event < bound:
                 bound = event
 
-        if bound <= cycle:
-            return cycle
-
+        view = self._view
+        actv = view.actv_counts
+        actv4 = kernel._actv4
+        for index, cls in enumerate(ALL_OP_CLASSES):
+            actv[cls] = actv4[index]
         for cls in (OpClass.INT, OpClass.FP):
             view.type_in_blackout[cls] = sm._type_in_blackout(cycle, cls)
         if sm.scheduler.idle_flip_pending(cycle, view):
             return cycle
-
-        self._pending_count = pending
         return int(bound)
 
     # ------------------------------------------------------------------
@@ -438,9 +252,10 @@ class SpanFastForwarder:
         # stage 4: classification samples.  Coordinated Blackout
         # policies read sm.actv_counts during the span, and the next
         # plan refills the planner's view, so copy rather than alias.
-        n_active = sum(actv.values())
+        kernel = self._kernel
+        n_active = kernel._n_active
         stats.active_warp_sum += span * n_active
-        stats.pending_warp_sum += span * self._pending_count
+        stats.pending_warp_sum += span * kernel._n_pending
         if n_active > stats.active_warp_max:
             stats.active_warp_max = n_active
         sm.actv_counts.update(actv)
@@ -469,3 +284,7 @@ class SpanFastForwarder:
         stats.cycles += span
         self.skipped_cycles += span
         self.skips += 1
+        if kernel._resume == cycle:
+            # Nothing executed over the span, so the kernel's state
+            # still holds at its end.
+            kernel._resume = target

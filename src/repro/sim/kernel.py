@@ -1,18 +1,24 @@
-"""Dense-regime SoA step kernel for the SM cycle loop.
+"""Incremental step kernel: the executing half of the SM fast path.
 
-:mod:`repro.sim.fastforward` wins when cycles are quiescent; the other
-regime — every cycle issuing or about to — is dominated by the per-warp
-Python dispatch in ``_classify``/``order``/``_issue``.  This module
-executes *runs of dense cycles* against a per-slot state block instead
-of re-deriving the whole classification every cycle.
+With ``fast_forward=True`` every cycle that is not skipped runs here.
+:meth:`DenseStepKernel.run_window` executes windows of cycles against a
+per-slot state block instead of re-deriving the whole classification
+every cycle (the per-warp Python dispatch in ``_classify``/``order``/
+``_issue`` that dominates the serial ``SM._step``), and returns just
+before a cycle that state proves quiet on the warp side —
+:meth:`DenseStepKernel.quiet_until` — so :mod:`repro.sim.fastforward`
+can jump the span starting there.  The two never nest.
 
 Two layers share the work:
 
 * **Window entry** — every resident warp with a head is classified
   once from its memoised head summary, seeding the incremental state
   below.  The summaries follow the ``(popped, scoreboard version)``
-  stamp discipline of the scalar cache, so re-entering a window after
-  a quiet stretch costs two integer compares per unchanged warp.
+  stamp discipline of the scalar cache, so a resync costs two integer
+  compares per unchanged warp.  A window that resumes where a
+  quiet-stopped one ended — the fast path, across a skipped span —
+  needs none: nothing executed in between, and the span's time-driven
+  changes wait in the transition heap.
 * **Per cycle** — classification is maintained *by delta*, not
   recomputed: each slot carries a category (no head / unresolved /
   memory-pending / active-not-ready / ready); aggregate counts, the
@@ -68,7 +74,7 @@ from bisect import bisect_left, insort
 from heapq import heappop, heappush
 from typing import List, Optional, Set
 
-from repro.isa.optypes import ALL_OP_CLASSES, OpClass
+from repro.isa.optypes import ALL_OP_CLASSES, ExecUnitKind, OpClass
 from repro.obs.events import IssueStall
 from repro.power.gating import DomainState
 from repro.sim.sched.base import IssueCandidate
@@ -81,13 +87,13 @@ CAT_NONE, CAT_UNRES, CAT_PEND, CAT_WAIT, CAT_READY = range(5)
 
 
 class DenseStepKernel:
-    """Batched executor for windows of dense (issue-bound) cycles.
+    """Executor for windows of cycles, maintained incrementally.
 
-    Built lazily — by the fast-forward planner when it decides a window
-    is dense, or by :meth:`StreamingMultiprocessor.run` when the run is
-    forced through the kernel (``dense_kernel=True``).  One instance
-    serves one SM run; :meth:`run_window` may be called any number of
-    times and resynchronises its classification state on entry.
+    Built by :meth:`StreamingMultiprocessor.run` for every fast-path
+    run (``fast_forward=True``).  One instance serves one SM run;
+    :meth:`run_window` may be called any number of times and
+    resynchronises its classification state on entry, unless the
+    window resumes exactly where a quiet-stopped one ended.
     """
 
     def __init__(self, sm) -> None:
@@ -97,6 +103,14 @@ class DenseStepKernel:
         self.cycles = 0
         #: Windows executed (diagnostics only).
         self.windows = 0
+        #: When True, :meth:`run_window` returns just before a cycle
+        #: whose warp side :meth:`quiet_until` proves quiet, handing it
+        #: to the span forwarder.  Set by the forwarder when it can skip.
+        self.stop_when_quiet = False
+        #: The cycle a quiet-stopped window returned at (advanced by the
+        #: forwarder over each span it skips): a window entered there
+        #: needs no resync, because nothing has executed since.
+        self._resume = -1
         n_slots = len(sm.warps)
         #: Resident slots whose I-buffer is empty with trace left to
         #: fetch: the only slots a fetch tick can flip NO_HEAD → KNOWN.
@@ -114,6 +128,8 @@ class DenseStepKernel:
         self._heap: list = []
         self._n_active = 0
         self._n_pending = 0
+        #: Pending slots whose head waits on an unresolved load.
+        self._n_unres = 0
         self._actv4: List[int] = [0, 0, 0, 0]
         #: Ready slots ascending, overall and per op-class index: the
         #: rotations below slice these instead of sorting per cycle.
@@ -145,22 +161,80 @@ class DenseStepKernel:
     def run_window(self, start: int, end: int) -> int:
         """Execute cycles ``[start, end)`` (stopping early on drain).
 
-        Returns the first cycle *not* executed; always > ``start`` when
-        the SM is not drained, so the caller's main loop makes progress.
+        With :attr:`stop_when_quiet` set, the window also stops just
+        before the first cycle whose warp side is quiet (see
+        :meth:`quiet_until`).  Returns the first cycle *not* executed;
+        always > ``start`` when the SM is not drained and ``start <
+        end``, so the caller's main loop makes progress.
         """
         sm = self.sm
         self.windows += 1
         if sm._sm_tracker is None:
             sm._bind_trackers()
-        self._sync_all(start)
+        if start != self._resume:
+            self._sync_all(start)
         cycle = start
         drained = sm._drained
         step = self._cycle
+        quiet = self.quiet_until if self.stop_when_quiet else None
         while cycle < end and not drained():
             step(cycle)
             cycle += 1
+            if quiet is not None and quiet(cycle, end) > cycle:
+                self._resume = cycle
+                break
         self.cycles += cycle - start
         return cycle
+
+    def quiet_until(self, cycle: int, horizon) -> int:
+        """First cycle after ``cycle`` at which the warp side can change.
+
+        Called between cycles (``cycle`` not yet executed).  The warp
+        side is quiet when no slot is ready, fetch has nothing to
+        stream, no retry or finished warp awaits, and every pipeline
+        drain, memory event and slot transition lies beyond ``cycle``;
+        the earliest of those (capped at ``horizon``) is returned.
+        Otherwise returns ``cycle``.  Slot transitions due at ``cycle``
+        are applied first — exactly what stage 4 would do — so a quiet
+        verdict describes the classification ``cycle`` will see.
+        """
+        if self._ready_all:
+            return cycle
+        sm = self.sm
+        if sm.fetch.needy or sm._retry or sm._finish_check:
+            return cycle
+        heap = self._heap
+        if heap and heap[0][0] <= cycle:
+            self._transitions(cycle)
+            if self._ready_all:
+                return cycle
+        gen = self._gen
+        while heap and heap[0][2] != gen[heap[0][1]]:
+            heappop(heap)  # orphaned events would only shorten the bound
+        bound = horizon
+        if heap and heap[0][0] < bound:
+            bound = heap[0][0]
+        ldst_flight = False
+        for pipe in sm.pipelines:
+            nxt = pipe.next_state_change(cycle)
+            if nxt is not None:
+                if nxt <= cycle:
+                    return cycle
+                if nxt < bound:
+                    bound = nxt
+                if pipe.kind is ExecUnitKind.LDST:
+                    ldst_flight = True
+        if self._n_unres and not ldst_flight:
+            # An unresolved load with no LDST completion to bound its
+            # resolution (cannot happen outside retry pressure, which
+            # already answered) — refuse rather than guess.
+            return cycle
+        mem_event = sm.memory.next_completion_cycle()
+        if mem_event <= cycle:
+            return cycle
+        if mem_event < bound:
+            bound = mem_event
+        return bound
 
     # ------------------------------------------------------------------
     # classification state maintenance
@@ -180,6 +254,7 @@ class DenseStepKernel:
         self._heap = []
         self._n_active = 0
         self._n_pending = 0
+        self._n_unres = 0
         self._actv4 = [0, 0, 0, 0]
         self._ready_all = []
         self._ready_cls = [[], [], [], []]
@@ -237,6 +312,7 @@ class DenseStepKernel:
         if warp.head_unresolved:
             self._cat[slot] = CAT_UNRES
             self._n_pending += 1
+            self._n_unres += 1
             return
         mem_until = warp.head_mem_until
         if cycle < mem_until:
@@ -271,6 +347,8 @@ class DenseStepKernel:
                 self._ready_cls[opx].remove(slot)
         elif cat:
             self._n_pending -= 1
+            if cat == CAT_UNRES:
+                self._n_unres -= 1
         self._cat[slot] = CAT_NONE
 
     def _refresh(self, warp, cycle: int) -> None:
@@ -284,6 +362,17 @@ class DenseStepKernel:
         self._refresh_cache(warp, buf)
         self._remove(warp.slot)
         self._classify_slot(warp, cycle)
+
+    def _transitions(self, cycle: int) -> None:
+        """Apply every slot transition event due at or before ``cycle``."""
+        heap = self._heap
+        gen = self._gen
+        warps = self.sm.warps
+        while heap and heap[0][0] <= cycle:
+            slot = heap[0][1]
+            if heappop(heap)[2] == gen[slot]:
+                self._remove(slot)
+                self._classify_slot(warps[slot], cycle)
 
     def _invalidate(self, slot: int) -> None:
         """Drop a slot that no longer has a head (freed/empty buffer)."""
@@ -326,13 +415,7 @@ class DenseStepKernel:
         # stage 4: classification = due transition events + aggregates.
         heap = self._heap
         if heap and heap[0][0] <= cycle:
-            gen = self._gen
-            warps = sm.warps
-            while heap and heap[0][0] <= cycle:
-                slot = heap[0][1]
-                if heappop(heap)[2] == gen[slot]:
-                    self._remove(slot)
-                    self._classify_slot(warps[slot], cycle)
+            self._transitions(cycle)
         view = sm._view
         actv = view.actv_counts
         actv4 = self._actv4

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.isa.instructions import Instruction
-from repro.isa.optypes import ExecUnitKind, OpClass, UNIT_FOR_OP_CLASS
+from repro.isa.optypes import (ALL_OP_CLASSES, ExecUnitKind, OpClass,
+                               UNIT_FOR_OP_CLASS)
 from repro.isa.trace import KernelTrace
 from repro.obs.bus import EventBus
 from repro.obs.events import IssueStall, KernelBoundary
@@ -49,10 +50,6 @@ from repro.sim.regfile import RegisterFileModel
 from repro.sim.sched.base import IssueCandidate, SchedulerView, WarpScheduler
 from repro.sim.stats import SMStats
 
-#: Enum members materialised once — iterating the Enum class itself
-#: builds a fresh iterator + genexpr per use, which shows up when done
-#: every cycle in the classify/issue path.
-_ALL_OP_CLASSES = tuple(OpClass)
 _CUDA_OP_CLASSES = (OpClass.INT, OpClass.FP)
 
 
@@ -182,8 +179,7 @@ class StreamingMultiprocessor:
                  technique: str = "baseline",
                  kernel_gap_cycles: int = 0,
                  bus: Optional[EventBus] = None,
-                 fast_forward: bool = False,
-                 dense_kernel: Optional[bool] = None) -> None:
+                 fast_forward: bool = False) -> None:
         if isinstance(kernel, KernelTrace):
             self.kernels: List[KernelTrace] = [kernel]
         else:
@@ -241,22 +237,16 @@ class StreamingMultiprocessor:
         self._retry: List[Tuple[int, Instruction]] = []
         self._ran = False
         self._kernel_index_seen = 0
-        #: When True, run() installs a SpanFastForwarder that jumps
-        #: over provably-quiescent idle *and* busy spans (bit-identical
-        #: results; see repro.sim.fastforward).  The forwarder is built
-        #: lazily at run time so domains and hooks attached after
+        #: When True, run() executes every cycle through a
+        #: DenseStepKernel and lets a SpanFastForwarder jump over the
+        #: provably-quiescent idle *and* busy spans between its windows
+        #: (bit-identical results; see repro.sim.fastforward).  Both are
+        #: built at run time so domains and hooks attached after
         #: construction count.
         self.fast_forward = fast_forward
         self._forwarder = None
-        #: Dense-step kernel policy (:mod:`repro.sim.kernel`): True
-        #: forces the whole run through the kernel (the identity tests'
-        #: mode), False forbids it, None (default) lets the fast-forward
-        #: planner hand over dense windows when the observed skip
-        #: fraction is low.  Results are bit-identical either way.
-        self.dense_kernel = dense_kernel
         self._kernel_core = None
         # --- hot-loop state (frozen by _prepare at run start) ---------
-        self._prepared = False
         self._pending_threshold = config.memory.pending_threshold
         self._issue_width = config.issue_width
         #: Whether the launcher exposes multi-kernel boundaries (the
@@ -324,20 +314,16 @@ class StreamingMultiprocessor:
         self._ran = True
         self.scheduler.reset()
         self._prepare()
-        kernel_core = None
-        if self.dense_kernel is True:
-            # Forced mode: the entire run executes through the dense
-            # kernel (bit-identical by construction; the golden tests
-            # pin it).  Takes precedence over fast-forwarding.
+        kernel_core = forwarder = None
+        if self.fast_forward:
+            from repro.sim.fastforward import SpanFastForwarder
             from repro.sim.kernel import DenseStepKernel
             kernel_core = self._kernel_core = DenseStepKernel(self)
-        elif self.fast_forward:
-            from repro.sim.fastforward import SpanFastForwarder
-            self._forwarder = SpanFastForwarder(self)
+            forwarder = self._forwarder = SpanFastForwarder(self,
+                                                            kernel_core)
         if self.bus.enabled:
             self.bus.publish(KernelBoundary(0, self.kernel.name, 0))
         cycle = 0
-        forwarder = self._forwarder
         max_cycles = self.config.max_cycles
         step = self._step
         drained = self._drained
@@ -346,25 +332,15 @@ class StreamingMultiprocessor:
                 raise RuntimeError(
                     f"{self.kernel.name}: no drain after "
                     f"{max_cycles} cycles (deadlock?)")
-            if kernel_core is not None:
-                cycle = kernel_core.run_window(cycle, max_cycles)
+            if kernel_core is None:
+                step(cycle)
+                cycle += 1
                 continue
-            if forwarder is not None:
-                skipped_to = forwarder.advance(cycle)
-                if skipped_to != cycle:
-                    cycle = skipped_to
-                    continue
-                dense_until = forwarder.dense_until
-                if dense_until > cycle:
-                    # Mode 3: the planner judged this window dense —
-                    # hand it to the batched kernel instead of paying
-                    # per-cycle planning with nothing to skip.
-                    end = dense_until if dense_until < max_cycles \
-                        else max_cycles
-                    cycle = forwarder.kernel.run_window(cycle, end)
-                    continue
-            step(cycle)
-            cycle += 1
+            # The fast path: skip the quiet span starting here (if
+            # any), then execute until the next quiet cycle.  The two
+            # calls alternate and never nest.
+            cycle = forwarder.advance(cycle)
+            cycle = kernel_core.run_window(cycle, max_cycles)
         return self._collect(cycle)
 
     def _prepare(self) -> None:
@@ -379,7 +355,6 @@ class StreamingMultiprocessor:
         indistinguishable from the legacy per-cycle path, which never
         created them.
         """
-        self._prepared = True
         domains = self.domains
         table: Dict[OpClass, tuple] = {}
         for cls in OpClass:
@@ -567,7 +542,7 @@ class StreamingMultiprocessor:
         view = self._view
         actv = view.actv_counts
         rdy = view.rdy_counts
-        for cls in _ALL_OP_CLASSES:
+        for cls in ALL_OP_CLASSES:
             actv[cls] = 0
             rdy[cls] = 0
         candidates: List[IssueCandidate] = []
@@ -629,12 +604,7 @@ class StreamingMultiprocessor:
         return candidates, view
 
     def _type_in_blackout(self, cycle: int, cls: OpClass) -> bool:
-        if self._prepared:
-            domains = self._blackout_domains.get(cls, ())
-        else:
-            pipes = self._by_kind[UNIT_FOR_OP_CLASS[cls]]
-            domains = tuple(self.domains[p.name] for p in pipes
-                            if p.name in self.domains)
+        domains = self._blackout_domains.get(cls, ())
         return bool(domains) and all(d.in_blackout(cycle)
                                      for d in domains)
 

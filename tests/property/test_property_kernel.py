@@ -1,10 +1,10 @@
 """Property tests: the dense-step kernel is decision-identical.
 
 Each example builds a random small workload, runs it serially, through
-the forced dense kernel (``dense_kernel=True``) and through a directly
-driven kernel core, and requires the canonical result form — every
-stats counter, gating counter, idle histogram, warp record and flat
-metric — to match exactly.  The golden identity suite
+the fast path (``fast_forward=True``: kernel windows plus span skips)
+and through a directly driven kernel core, and requires the canonical
+result form — every stats counter, gating counter, idle histogram,
+warp record and flat metric — to match exactly.  The golden identity suite
 pins the real benchmarks; this sweeps the odd corners random traces
 reach (single warps, tiny traces, degenerate mixes, tiny MSHR files)
 where window-resync and event-heap edge cases live.
@@ -16,8 +16,7 @@ from repro.core.techniques import Technique, TechniqueConfig, build_sm
 from repro.isa.optypes import ALL_OP_CLASSES
 from repro.isa.tracegen import TraceSpec, generate_kernel
 from repro.sim.config import MemoryConfig, SMConfig
-from repro.sim.kernel import DenseStepKernel
-from tests.sim.identity import canonical_result
+from tests.sim.identity import canonical_result, run_kernel_to_drain
 
 
 @st.composite
@@ -57,33 +56,21 @@ def run_one(spec, technique, seed, **kwargs):
 
 
 def run_forced(spec, technique, seed):
-    """Run entirely through a directly driven DenseStepKernel.
-
-    Mirrors what ``run()`` does under ``dense_kernel=True``, but drives
-    the core's windows from the test, the way the fast-forward handoff
-    does.
-    """
-    sm = build_sm(generate_kernel(spec, seed=seed),
-                  TechniqueConfig(technique), sm_config=CONFIG)
-    sm._ran = True
-    sm.scheduler.reset()
-    sm._prepare()
-    core = DenseStepKernel(sm)
-    cycle = 0
-    while not sm._drained():
-        cycle = core.run_window(cycle, sm.config.max_cycles)
-    return sm._collect(cycle)
+    """Run entirely through a directly driven DenseStepKernel."""
+    return run_kernel_to_drain(build_sm(generate_kernel(spec, seed=seed),
+                                        TechniqueConfig(technique),
+                                        sm_config=CONFIG))
 
 
 @given(spec=small_specs(), technique=TECHNIQUES,
        seed=st.integers(min_value=0, max_value=50))
 @settings(max_examples=50, deadline=None)
-def test_dense_kernel_equals_serial(spec, technique, seed):
-    """Forced-kernel runs produce the identical canonical result."""
+def test_fast_path_equals_serial(spec, technique, seed):
+    """Fast-path runs produce the identical canonical result."""
     serial = canonical_result(run_one(spec, technique, seed))
-    forced = canonical_result(
-        run_one(spec, technique, seed, dense_kernel=True))
-    assert forced == serial
+    fast = canonical_result(
+        run_one(spec, technique, seed, fast_forward=True))
+    assert fast == serial
 
 
 @given(spec=small_specs(), technique=TECHNIQUES,

@@ -52,22 +52,51 @@ GOLDEN_DEVICE_PRESET = "gtx480"
 # ----------------------------------------------------------------------
 
 def run_golden_cell(benchmark: str, technique_value: str,
-                    fast_forward: bool = False,
-                    dense_kernel: "bool | None" = None):
+                    fast_forward: bool = False):
     """One single-SM golden run (serial by default).
 
-    ``fast_forward=True`` runs the same cell through the event-driven
-    span core; ``dense_kernel=True`` forces it through the dense-step
-    kernel (:mod:`repro.sim.kernel`).  Either flavour's digest must
-    equal the serial one — those equalities are what pin the alternate
-    execution paths bit-identical.
+    ``fast_forward=True`` runs the same cell through the fast path
+    (dense-step kernel plus span skipping); its digest must equal the
+    serial one — that equality is what pins the fast path
+    bit-identical.
     """
     from repro.core.techniques import (Technique, TechniqueConfig,
                                        run_benchmark)
     return run_benchmark(benchmark, TechniqueConfig(Technique(technique_value)),
                          seed=0, scale=GOLDEN_SCALE,
-                         fast_forward=fast_forward,
-                         dense_kernel=dense_kernel)
+                         fast_forward=fast_forward)
+
+
+def run_kernel_to_drain(sm):
+    """Run a built SM entirely through a directly driven kernel core.
+
+    Prepares ``sm`` the way ``run()`` does, then executes every cycle
+    through :meth:`DenseStepKernel.run_window
+    <repro.sim.kernel.DenseStepKernel.run_window>` — no span is
+    skipped — and collects the result.
+    """
+    from repro.sim.kernel import DenseStepKernel
+
+    sm._ran = True
+    sm.scheduler.reset()
+    sm._prepare()
+    core = DenseStepKernel(sm)
+    cycle = 0
+    while not sm._drained():
+        cycle = core.run_window(cycle, sm.config.max_cycles)
+    return sm._collect(cycle)
+
+
+def run_kernel_cell(benchmark: str, technique_value: str):
+    """One single-SM golden run with every cycle through the kernel."""
+    from repro.core.techniques import Technique, TechniqueConfig, build_sm
+    from repro.workloads.registry import build_kernel
+    from repro.workloads.specs import get_profile
+
+    sm = build_sm(build_kernel(benchmark, seed=0, scale=GOLDEN_SCALE),
+                  TechniqueConfig(Technique(technique_value)),
+                  dram_latency=get_profile(benchmark).dram_latency)
+    return run_kernel_to_drain(sm)
 
 
 def run_golden_device(benchmark: str, technique_value: str,
@@ -95,7 +124,8 @@ def run_golden_device(benchmark: str, technique_value: str,
 
 
 def run_instrumented_golden(benchmark: str = "hotspot",
-                            technique_value: str = "warped_gates"):
+                            technique_value: str = "warped_gates",
+                            fast_forward: bool = False):
     """One bus-enabled golden run; returns (result, events)."""
     from repro.core.techniques import Technique, TechniqueConfig, build_sm
     from repro.obs.bus import EventBus
@@ -105,7 +135,8 @@ def run_instrumented_golden(benchmark: str = "hotspot",
     kernel = build_kernel(benchmark, seed=0, scale=GOLDEN_SCALE)
     bus = EventBus(enabled=True)
     sm = build_sm(kernel, TechniqueConfig(Technique(technique_value)),
-                  dram_latency=get_profile(benchmark).dram_latency, bus=bus)
+                  dram_latency=get_profile(benchmark).dram_latency, bus=bus,
+                  fast_forward=fast_forward)
     events = []
     bus.subscribe(events.append)
     return sm.run(), events
@@ -133,8 +164,7 @@ def compute_goldens() -> dict:
             # The dense-step kernel must reproduce the serial digest
             # exactly; the entry is recorded under its own key so a
             # kernel-only drift is named by the failing key.
-            forced = run_golden_cell(benchmark, technique,
-                                     dense_kernel=True)
+            forced = run_kernel_cell(benchmark, technique)
             digests[f"kernel/{benchmark}/{technique}"] = \
                 result_digest(forced)
     result, events = run_instrumented_golden()

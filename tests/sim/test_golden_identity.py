@@ -22,7 +22,7 @@ from tests.sim.identity import (GOLDEN_BENCHMARKS, GOLDEN_TECHNIQUES,
                                 device_result_digest, event_stream_digest,
                                 load_goldens, result_digest,
                                 run_golden_cell, run_golden_device,
-                                run_instrumented_golden)
+                                run_instrumented_golden, run_kernel_cell)
 
 GOLDENS = load_goldens()
 
@@ -57,13 +57,13 @@ def test_fast_forward_digest_matches_golden(bench_name, technique):
 def test_dense_kernel_digest_matches_golden(bench_name, technique):
     """The dense-step kernel reproduces the serial digest.
 
-    ``dense_kernel=True`` forces every cycle of the run through
-    :class:`repro.sim.kernel.DenseStepKernel` — the committed
-    ``kernel/...`` references equal the serial cell digests by
-    construction, so this pins batched classify/issue/writeback
+    Every cycle of the run goes through a directly driven
+    :class:`repro.sim.kernel.DenseStepKernel`, no span skipped — the
+    committed ``kernel/...`` references equal the serial cell digests
+    by construction, so this pins batched classify/issue/writeback
     bit-identical to ``SM._step`` for every golden technique.
     """
-    result = run_golden_cell(bench_name, technique, dense_kernel=True)
+    result = run_kernel_cell(bench_name, technique)
     digest = result_digest(result)
     assert digest == GOLDENS[f"kernel/{bench_name}/{technique}"], (
         f"dense-kernel {technique} on {bench_name} drifted from its "
@@ -112,6 +112,21 @@ def test_event_stream_matches_golden():
             == GOLDENS["events/hotspot/warped_gates"]), (
         "the instrumented event stream drifted (order, payload, or "
         "count) from the golden digest")
+
+
+def test_fast_path_event_stream_matches_golden():
+    """An instrumented fast-path run publishes the serial event stream.
+
+    An enabled bus turns span skipping off, so every cycle of this run
+    executes through the dense-step kernel: its events (order, payload,
+    count) and its result must match the serial golden digests.
+    """
+    result, events = run_instrumented_golden(fast_forward=True)
+    assert (event_stream_digest(events)
+            == GOLDENS["events/hotspot/warped_gates"]), (
+        "the kernel-executed event stream drifted from the serial one")
+    assert (result_digest(result)
+            == GOLDENS["events/hotspot/warped_gates/result"])
 
 
 def test_instrumented_result_equals_serial():

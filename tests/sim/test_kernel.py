@@ -1,20 +1,19 @@
 """Dense-step kernel: windowing, resync and equality unit tests.
 
-The golden identity suite pins whole forced-kernel runs bit-identical;
+The golden identity suite pins whole kernel-driven runs bit-identical;
 these tests exercise the kernel's moving parts directly — window
 boundaries, drain inside a window, interleaving kernel windows with
-serial stepping — and the fast-forward planner's adaptive handoff into
-dense mode.
+serial stepping — and the fast path that alternates kernel windows
+with span skips.
 """
 
 import pytest
 
 from repro.core.techniques import Technique, TechniqueConfig, build_sm
-from repro.sim.fastforward import PLAN_BACKOFF_CAP, SpanFastForwarder
 from repro.sim.kernel import DenseStepKernel
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
-from tests.sim.identity import canonical_result
+from tests.sim.identity import canonical_result, run_kernel_to_drain
 
 SCALE = 0.2
 
@@ -45,7 +44,7 @@ def _prepared(benchmark: str, technique: Technique):
 @pytest.mark.parametrize("bench_name", ("hotspot", "bfs"))
 def test_forced_kernel_bit_identical(bench_name, technique):
     serial = _serial_result(bench_name, technique)
-    forced = _build(bench_name, technique, dense_kernel=True).run()
+    forced = run_kernel_to_drain(_build(bench_name, technique))
     assert forced.cycles == serial.cycles
     assert forced.metrics == serial.metrics
     assert forced.domain_stats == serial.domain_stats
@@ -114,38 +113,21 @@ def test_single_window_run_equals_serial():
     assert canonical_result(sm._collect(cycle)) == serial
 
 
-def test_dense_kernel_false_forbids_handoff():
-    """``dense_kernel=False`` keeps the forwarder out of dense mode."""
-    sm = _build("bfs", Technique.WARPED_GATES, fast_forward=True,
-                dense_kernel=False)
+def test_fast_path_windows_and_skips_dense_run():
+    """A dense full-scale run both executes kernel windows and skips
+    spans between them, and still matches the serial run."""
+    def build(fast_forward):
+        return build_sm(build_kernel("bfs", seed=0, scale=1.0),
+                        TechniqueConfig(Technique.WARPED_GATES),
+                        dram_latency=get_profile("bfs").dram_latency,
+                        fast_forward=fast_forward)
+
+    serial = canonical_result(build(False).run())
+    sm = build(True)
     result = sm.run()
-    assert sm._forwarder is not None
-    assert sm._forwarder.kernel is None
-    assert sm._forwarder.dense_windows == 0
-    assert canonical_result(result) == canonical_result(
-        _serial_result("bfs", Technique.WARPED_GATES))
-
-
-def test_forwarder_hands_dense_regime_to_kernel():
-    """On a dense workload the planner escalates backoff, then hands
-    whole windows to the kernel, and still matches the serial run."""
-    kernel = build_kernel("bfs", seed=0, scale=1.0)
-    serial_sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
-                         dram_latency=get_profile("bfs").dram_latency)
-    serial = canonical_result(serial_sm.run())
-    ff_sm = build_sm(build_kernel("bfs", seed=0, scale=1.0),
-                     TechniqueConfig(Technique.WARPED_GATES),
-                     dram_latency=get_profile("bfs").dram_latency,
-                     fast_forward=True)
-    result = ff_sm.run()
-    forwarder = ff_sm._forwarder
     assert canonical_result(result) == serial
-    assert forwarder.dense_windows > 0
-    assert forwarder.kernel is not None
-    assert forwarder.kernel.cycles > 0
-    assert result.stats.planner_overhead_cycles > 0
-    # The adaptive cap escalated beyond the floor on the way there.
-    assert forwarder._backoff_cap > PLAN_BACKOFF_CAP
+    assert sm._kernel_core.cycles > 0
+    assert sm._forwarder.skipped_cycles > 0
 
 
 def test_planner_overhead_not_in_metrics():
