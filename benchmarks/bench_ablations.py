@@ -16,21 +16,20 @@ argue for:
 """
 
 from repro.analysis.report import format_table
-from repro.core.techniques import Technique
 from repro.harness.experiment import geomean, normalized_performance
 from repro.isa.optypes import ExecUnitKind
 
 from conftest import print_figure
 
 ABLATION_TECHNIQUES = (
-    Technique.CONV_PG,
-    Technique.LRR_CONV_PG,
-    Technique.FETCH_GROUP_CONV_PG,
-    Technique.CCWS_CONV_PG,
-    Technique.GATES_NO_PG,
-    Technique.NAIVE_BLACKOUT,
-    Technique.BLACKOUT_NO_GATES,
-    Technique.WARPED_GATES,
+    "conv_pg",
+    "lrr_conv_pg",
+    "fetch_group_conv_pg",
+    "ccws_conv_pg",
+    "gates_no_pg",
+    "naive_blackout",
+    "blackout_no_gates",
+    "warped_gates",
 )
 
 
@@ -47,7 +46,7 @@ def regenerate(runner):
                 fp_savings.append(runner.static_savings(
                     name, technique, ExecUnitKind.FP))
             perf.append(normalized_performance(base, result))
-        rows.append([technique.value,
+        rows.append([technique,
                      sum(int_savings) / len(int_savings),
                      sum(fp_savings) / len(fp_savings),
                      geomean(perf)])

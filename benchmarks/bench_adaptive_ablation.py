@@ -10,7 +10,6 @@ energy/performance trade against the paper's bounded configuration.
 
 from repro.analysis.report import format_table
 from repro.core.adaptive import AdaptiveConfig
-from repro.core.techniques import Technique
 from repro.harness.experiment import geomean, normalized_performance
 from repro.isa.optypes import ExecUnitKind
 
@@ -27,7 +26,7 @@ def regenerate(runner):
         int_savings, perf, final_windows = [], [], []
         for name in runner.settings.benchmarks:
             base = runner.baseline(name)
-            result = runner.run(name, Technique.WARPED_GATES,
+            result = runner.run(name, "warped_gates",
                                 adaptive=config)
             activity = result.unit_activity(ExecUnitKind.INT)
             bet = runner.settings.gating.bet

@@ -30,8 +30,7 @@ import pstats
 import time
 from pathlib import Path
 
-from repro.core.techniques import (Technique, TechniqueConfig, build_sm,
-                                   run_benchmark)
+from repro.core.techniques import build_sm, run_benchmark
 from repro.obs.bus import EventBus
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
@@ -80,13 +79,13 @@ MAX_INSTRUMENTED_OVERHEAD = 0.10
 OVERHEAD_TOLERANCE = 0.05
 
 
-def _serial_rate(technique: Technique, rounds: int = 5) -> tuple:
+def _serial_rate(technique: str, rounds: int = 5) -> tuple:
     """Best-of-N full-run rate (trace build + loop), pre-PR-comparable."""
     best = 0.0
     cycles = 0
     for _ in range(rounds):
         start = time.perf_counter()
-        result = run_benchmark(BENCHMARK, TechniqueConfig(technique),
+        result = run_benchmark(BENCHMARK, technique,
                                seed=SEED, scale=SCALE)
         elapsed = time.perf_counter() - start
         cycles = result.cycles
@@ -99,7 +98,7 @@ def _serial_rate(technique: Technique, rounds: int = 5) -> tuple:
 def _build_loop_sm(instrumented: bool):
     kernel = build_kernel(BENCHMARK, seed=SEED, scale=SCALE)
     bus = EventBus(enabled=True) if instrumented else None
-    sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
+    sm = build_sm(kernel, "warped_gates",
                   dram_latency=get_profile(BENCHMARK).dram_latency,
                   bus=bus)
     if instrumented:
@@ -165,12 +164,12 @@ def _gate(name: str, ok: bool, message: str) -> None:
                          f"(profile written to {PROFILE_PATH.name})")
 
 
-def _serial_row(benchmark, technique: Technique, key: str) -> None:
+def _serial_row(benchmark, technique: str, key: str) -> None:
     rate, cycles = _serial_rate(technique)
     # pytest-benchmark records the official timing; the gate uses the
     # in-process best-of-N above so both appear in the bench output.
     benchmark.pedantic(run_benchmark,
-                       args=(BENCHMARK, TechniqueConfig(technique)),
+                       args=(BENCHMARK, technique),
                        kwargs={"seed": SEED, "scale": SCALE},
                        rounds=3, iterations=1, warmup_rounds=1)
     speedup = rate / PRE_PR_CYCLES_PER_SEC[key]
@@ -196,12 +195,12 @@ def _serial_row(benchmark, technique: Technique, key: str) -> None:
 
 def test_core_serial_baseline(benchmark):
     """Ungated busy loop — the cheapest configuration's ceiling."""
-    _serial_row(benchmark, Technique.BASELINE, "baseline")
+    _serial_row(benchmark, "baseline", "baseline")
 
 
 def test_core_serial_warped_gates(benchmark):
     """Fully gated + adaptive configuration — the paper's main subject."""
-    _serial_row(benchmark, Technique.WARPED_GATES, "warped_gates")
+    _serial_row(benchmark, "warped_gates", "warped_gates")
 
 
 def _dense_rate(rounds: int = 5, **run_kwargs) -> tuple:
@@ -210,8 +209,7 @@ def _dense_rate(rounds: int = 5, **run_kwargs) -> tuple:
     result = None
     for _ in range(rounds):
         start = time.perf_counter()
-        result = run_benchmark(DENSE_BENCHMARK,
-                               TechniqueConfig(Technique.WARPED_GATES),
+        result = run_benchmark(DENSE_BENCHMARK, "warped_gates",
                                seed=SEED, scale=DENSE_SCALE, **run_kwargs)
         elapsed = time.perf_counter() - start
         rate = result.cycles / elapsed
@@ -230,7 +228,7 @@ def test_core_dense_single_sm(benchmark):
     """
     benchmark.pedantic(
         run_benchmark,
-        args=(DENSE_BENCHMARK, TechniqueConfig(Technique.WARPED_GATES)),
+        args=(DENSE_BENCHMARK, "warped_gates"),
         kwargs={"seed": SEED, "scale": DENSE_SCALE, "fast_forward": True},
         rounds=3, iterations=1, warmup_rounds=1)
     rate, result = _dense_rate(fast_forward=True)

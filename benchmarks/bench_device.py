@@ -28,7 +28,7 @@ from pathlib import Path
 
 from repro.analysis.report import format_table
 from repro.core.device import device_preset
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import build_sm
 from repro.isa.optypes import ExecUnitKind
 from repro.sim.gpu import GPU, split_kernel
 from repro.workloads.registry import build_kernel
@@ -71,7 +71,7 @@ def _build_device_sms():
     parts = split_kernel(kernel, preset.n_sms)
     dram = preset.memory_side.effective_dram_latency(
         get_profile(DEVICE_BENCHMARK).dram_latency, len(parts))
-    return [build_sm(part, TechniqueConfig(Technique.WARPED_GATES),
+    return [build_sm(part, "warped_gates",
                      sm_config=preset.sm, dram_latency=dram,
                      fast_forward=True)
             for part in parts]
@@ -79,7 +79,7 @@ def _build_device_sms():
 
 def _build_single_sm():
     kernel = build_kernel(DEVICE_BENCHMARK, seed=SEED, scale=DEVICE_SCALE)
-    return build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
+    return build_sm(kernel, "warped_gates",
                     dram_latency=get_profile(DEVICE_BENCHMARK).dram_latency,
                     fast_forward=True)
 
@@ -182,11 +182,11 @@ def test_device_scale_rate(benchmark):
 # device-level integration table (baseline vs warped gates)
 # ----------------------------------------------------------------------
 
-def run_device(name: str, technique: Technique, scale: float):
+def run_device(name: str, technique: str, scale: float):
     profile = get_profile(name)
 
     def factory(kernel):
-        return build_sm(kernel, TechniqueConfig(technique),
+        return build_sm(kernel, technique,
                         dram_latency=profile.dram_latency)
 
     kernel = build_kernel(name, scale=scale)
@@ -199,8 +199,8 @@ def regenerate(figure_scale):
     del figure_scale
     rows = []
     for name in BENCHMARKS:
-        base = run_device(name, Technique.BASELINE, 1.0)
-        wg = run_device(name, Technique.WARPED_GATES, 1.0)
+        base = run_device(name, "baseline", 1.0)
+        wg = run_device(name, "warped_gates", 1.0)
         activity = wg.unit_activity(ExecUnitKind.INT)
         savings = (activity.gated_cycles - activity.gating_events * 14) \
             / activity.cycles if activity.cycles else 0.0

@@ -26,7 +26,6 @@ within the history tolerance of the last recorded run.
 import json
 from pathlib import Path
 
-from repro.core.techniques import Technique, TechniqueConfig
 from repro.engine import ParallelEngine, SimJob
 
 import history
@@ -36,7 +35,7 @@ SCALE = 0.5
 #: Mixed compute/memory-bound grid so both engine paths are exercised.
 GRID = [(name, technique)
         for name in ("hotspot", "bfs", "sgemm", "srad")
-        for technique in (Technique.BASELINE, Technique.WARPED_GATES)]
+        for technique in ("baseline", "warped_gates")]
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -47,7 +46,7 @@ SERIAL_BASELINE_CYCLES_PER_SEC = 5_000.0
 
 
 def _jobs(fast_forward: bool):
-    return [SimJob(benchmark=name, config=TechniqueConfig(technique),
+    return [SimJob(benchmark=name, config=technique,
                    scale=SCALE, fast_forward=fast_forward)
             for name, technique in GRID]
 

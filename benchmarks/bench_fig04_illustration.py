@@ -16,11 +16,7 @@ from figure4_walkthrough import (  # noqa: E402
     build_fig4_kernel,
     occupancy_chart,
 )
-from repro.core.techniques import (  # noqa: E402
-    Technique,
-    TechniqueConfig,
-    build_sm,
-)
+from repro.core.techniques import build_sm  # noqa: E402
 
 from conftest import print_figure  # noqa: E402
 
@@ -31,8 +27,8 @@ def longest_idle_run(strip: str) -> int:
 
 def regenerate():
     charts = {}
-    for technique in (Technique.BASELINE, Technique.GATES_NO_PG):
-        sm = build_sm(build_fig4_kernel(), TechniqueConfig(technique),
+    for technique in ("baseline", "gates_no_pg"):
+        sm = build_sm(build_fig4_kernel(), technique,
                       sm_config=FIG4_CONFIG)
         charts[technique] = occupancy_chart(sm)
     return charts
@@ -42,7 +38,7 @@ def test_fig04_schedule_illustration(benchmark):
     charts = benchmark.pedantic(regenerate, rounds=1, iterations=1)
     lines = []
     for technique, strips in charts.items():
-        lines.append(f"{technique.value}:")
+        lines.append(f"{technique}:")
         lines.append(f"  INT {strips['INT0']}")
         lines.append(f"  FP  {strips['FP0']}")
     lines.append("")
@@ -51,8 +47,8 @@ def test_fig04_schedule_illustration(benchmark):
                  "consecutive idle cycles")
     print_figure("FIG 4", "\n".join(lines))
 
-    base = charts[Technique.BASELINE]
-    gates = charts[Technique.GATES_NO_PG]
+    base = charts["baseline"]
+    gates = charts["gates_no_pg"]
     # GATES strictly lengthens the longest idle window of each unit.
     assert longest_idle_run(gates["FP0"]) > longest_idle_run(base["FP0"])
     assert longest_idle_run(gates["FP0"]) >= 8

@@ -9,7 +9,6 @@ nine-cycle wakeup while Warped Gates stays flat.
 """
 
 from repro.analysis.report import format_table
-from repro.core.techniques import Technique
 from repro.harness.sweeps import (
     SWEEP_HEADERS,
     bet_sweep,
@@ -35,13 +34,13 @@ def test_fig11a_bet_sensitivity(benchmark, sweep_runner):
 
     cells = by_cell(points)
     for bet in (9, 14, 19):
-        conv = cells[(bet, Technique.CONV_PG)]
-        warped = cells[(bet, Technique.WARPED_GATES)]
+        conv = cells[(bet, "conv_pg")]
+        warped = cells[(bet, "warped_gates")]
         # Warped Gates outperforms conventional gating at every BET.
         assert warped.int_savings > conv.int_savings
     # The savings gap widens as BET grows.
-    gap = {bet: cells[(bet, Technique.WARPED_GATES)].int_savings
-           - cells[(bet, Technique.CONV_PG)].int_savings
+    gap = {bet: cells[(bet, "warped_gates")].int_savings
+           - cells[(bet, "conv_pg")].int_savings
            for bet in (9, 19)}
     assert gap[19] > gap[9]
 
@@ -57,14 +56,14 @@ def test_fig11b_wakeup_sensitivity(benchmark, sweep_runner):
 
     cells = by_cell(points)
     for wakeup in (3, 6, 9):
-        conv = cells[(wakeup, Technique.CONV_PG)]
-        warped = cells[(wakeup, Technique.WARPED_GATES)]
+        conv = cells[(wakeup, "conv_pg")]
+        warped = cells[(wakeup, "warped_gates")]
         assert warped.int_savings > conv.int_savings
         assert warped.fp_savings > conv.fp_savings
     # Warped Gates' savings stay nearly flat across wakeup delays while
     # conventional gating degrades.
-    warped_drop = cells[(3, Technique.WARPED_GATES)].int_savings - \
-        cells[(9, Technique.WARPED_GATES)].int_savings
-    conv_drop = cells[(3, Technique.CONV_PG)].int_savings - \
-        cells[(9, Technique.CONV_PG)].int_savings
+    warped_drop = cells[(3, "warped_gates")].int_savings - \
+        cells[(9, "warped_gates")].int_savings
+    conv_drop = cells[(3, "conv_pg")].int_savings - \
+        cells[(9, "conv_pg")].int_savings
     assert conv_drop >= warped_drop - 0.02

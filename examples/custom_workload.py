@@ -13,7 +13,7 @@ Usage::
 """
 
 from repro.analysis.report import format_fraction, format_table
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import build_sm
 from repro.isa.instructions import fp_op, int_op, load_op, store_op
 from repro.isa.optypes import ExecUnitKind, OpClass
 from repro.isa.trace import KernelTrace, WarpTrace
@@ -67,13 +67,12 @@ def main() -> None:
     kernel = statistical_workload()
     rows = []
     baseline_cycles = None
-    for technique in (Technique.BASELINE, Technique.CONV_PG,
-                      Technique.WARPED_GATES):
-        sm = build_sm(kernel, TechniqueConfig(technique), dram_latency=380)
+    for technique in ("baseline", "conv_pg", "warped_gates"):
+        sm = build_sm(kernel, technique, dram_latency=380)
         result = sm.run()
-        if technique is Technique.BASELINE:
+        if technique == "baseline":
             baseline_cycles = result.cycles
-        rows.append([technique.value, result.cycles,
+        rows.append([technique, result.cycles,
                      format_fraction(savings(result, ExecUnitKind.INT)),
                      format_fraction(savings(result, ExecUnitKind.FP)),
                      f"{baseline_cycles / result.cycles:.3f}"])
@@ -83,8 +82,7 @@ def main() -> None:
     print("\nAn FP-light mix leaves the FP clusters asleep almost the "
           "whole run -- gating pays maximally there.\n")
 
-    result = build_sm(handwritten_kernel(),
-                      TechniqueConfig(Technique.WARPED_GATES),
+    result = build_sm(handwritten_kernel(), "warped_gates",
                       dram_latency=200).run()
     print(f"handwritten kernel: {result.cycles} cycles, "
           f"{result.stats.instructions_retired} instructions retired, "

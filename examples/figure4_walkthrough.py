@@ -21,7 +21,7 @@ Usage::
 from typing import Dict, List
 
 from repro.analysis.occupancy import OccupancyRecorder
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import build_sm
 from repro.isa.instructions import fp_op, int_op
 from repro.isa.trace import KernelTrace, WarpTrace
 from repro.sim.config import MemoryConfig, SMConfig
@@ -57,9 +57,9 @@ def occupancy_chart(sm: StreamingMultiprocessor) -> Dict[str, str]:
 def main() -> None:
     print(__doc__)
     print(f"active warp set: {' '.join(WARP_TYPES)}\n")
-    for technique, label in ((Technique.BASELINE, "Two-level scheduler"),
-                             (Technique.GATES_NO_PG, "GATES")):
-        sm = build_sm(build_fig4_kernel(), TechniqueConfig(technique),
+    for technique, label in (("baseline", "Two-level scheduler"),
+                             ("gates_no_pg", "GATES")):
+        sm = build_sm(build_fig4_kernel(), technique,
                       sm_config=FIG4_CONFIG)
         strips = occupancy_chart(sm)
         print(f"{label}:")

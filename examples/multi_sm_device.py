@@ -16,16 +16,16 @@ Usage::
 import argparse
 
 from repro.analysis.report import format_fraction, format_table
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import build_sm
 from repro.isa.optypes import ExecUnitKind
 from repro.sim.gpu import GPU
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import BENCHMARK_NAMES, get_profile
 
 
-def device(technique: Technique, n_sms: int, dram_latency: int) -> GPU:
+def device(technique: str, n_sms: int, dram_latency: int) -> GPU:
     def factory(kernel):
-        return build_sm(kernel, TechniqueConfig(technique),
+        return build_sm(kernel, technique,
                         dram_latency=dram_latency)
     return GPU(n_sms=n_sms, sm_factory=factory)
 
@@ -41,9 +41,9 @@ def main() -> None:
 
     kernel = build_kernel(args.benchmark, scale=args.scale)
     profile = get_profile(args.benchmark)
-    base = device(Technique.BASELINE, args.sms,
+    base = device("baseline", args.sms,
                   profile.dram_latency).run(kernel)
-    wg = device(Technique.WARPED_GATES, args.sms,
+    wg = device("warped_gates", args.sms,
                 profile.dram_latency).run(kernel)
 
     bet = 14

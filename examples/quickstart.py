@@ -13,7 +13,6 @@ Usage::
 
 import argparse
 
-from repro import Technique
 from repro.analysis.idle_periods import region_fractions
 from repro.analysis.report import format_fraction, format_table
 from repro.harness.experiment import (
@@ -36,7 +35,7 @@ def main() -> None:
     settings = ExperimentSettings(scale=args.scale,
                                   benchmarks=(args.benchmark,))
     runner = ExperimentRunner(settings)
-    techniques = (Technique.CONV_PG, Technique.WARPED_GATES)
+    techniques = ("conv_pg", "warped_gates")
 
     base = runner.baseline(args.benchmark)
     print(f"benchmark: {args.benchmark}  "
@@ -55,7 +54,7 @@ def main() -> None:
             idle_detect=settings.gating.idle_detect,
             bet=settings.gating.bet)
         rows.append([
-            technique.value,
+            technique,
             format_fraction(int_sav),
             format_fraction(fp_sav),
             f"{normalized_performance(base, result):.3f}",

@@ -18,11 +18,10 @@ import argparse
 
 from repro.analysis.report import format_table
 from repro.analysis.stalls import STALL_HEADERS, stall_rows
-from repro.core.techniques import Technique, TechniqueConfig, run_benchmark
+from repro.core.techniques import run_benchmark
 from repro.workloads.specs import BENCHMARK_NAMES
 
-TECHNIQUES = (Technique.BASELINE, Technique.CONV_PG,
-              Technique.NAIVE_BLACKOUT, Technique.WARPED_GATES)
+TECHNIQUES = ("baseline", "conv_pg", "naive_blackout", "warped_gates")
 
 
 def main() -> None:
@@ -32,8 +31,8 @@ def main() -> None:
     parser.add_argument("--scale", type=float, default=1.0)
     args = parser.parse_args()
 
-    runs = {technique.value: run_benchmark(
-                args.benchmark, TechniqueConfig(technique),
+    runs = {technique: run_benchmark(
+                args.benchmark, technique,
                 scale=args.scale)
             for technique in TECHNIQUES}
     print(format_table(

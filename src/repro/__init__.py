@@ -7,11 +7,15 @@ called *Warped Gates*.
 
 Quick start::
 
-    from repro import Technique, TechniqueConfig, run_benchmark
+    from repro import run_benchmark
 
-    base = run_benchmark("hotspot", TechniqueConfig(Technique.BASELINE))
-    wg = run_benchmark("hotspot", TechniqueConfig(Technique.WARPED_GATES))
+    base = run_benchmark("hotspot", "baseline")
+    wg = run_benchmark("hotspot", "warped_gates")
     print(base.cycles, wg.cycles)
+
+A technique is named by its registered name (``"warped_gates"``) or by
+a :class:`~repro.core.spec.TechniqueSpec`; overrides are
+``dataclasses.replace(technique_spec("warped_gates"), ...)``.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every figure.
@@ -26,8 +30,6 @@ from repro.core.spec import (
 )
 from repro.core.techniques import (
     PAPER_TECHNIQUES,
-    Technique,
-    TechniqueConfig,
     build_sm,
     run_benchmark,
 )
@@ -39,8 +41,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "PAPER_TECHNIQUES",
-    "Technique",
-    "TechniqueConfig",
     "GatingPolicySpec",
     "SchedulerSpec",
     "TechniqueSpec",

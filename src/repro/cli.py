@@ -51,7 +51,7 @@ from repro.core.spec import (
     unknown_name_error,
     validate_names,
 )
-from repro.core.techniques import Technique
+from repro.core.techniques import BASELINE_AND_PAPER_TECHNIQUES
 from repro.engine.faults import JobFailedError, last_error_line
 from repro.harness import figures
 from repro.harness.experiment import (
@@ -581,11 +581,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"wrote {args.emit_chrome_trace}")
     base = runner.baseline(args.benchmark)
     int_savings = runner.static_savings(args.benchmark, spec,
-                                        ExecUnitKind.INT,
-                                        gating=spec.gating)
+                                        ExecUnitKind.INT)
     fp_savings = runner.static_savings(args.benchmark, spec,
-                                       ExecUnitKind.FP,
-                                       gating=spec.gating)
+                                       ExecUnitKind.FP)
     rows = [
         ("cycles", result.cycles),
         ("ipc", round(result.stats.ipc, 3)),
@@ -763,16 +761,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_energy(args: argparse.Namespace) -> int:
     """Print a per-benchmark normalised energy breakdown table."""
-    from repro.core.techniques import PAPER_TECHNIQUES
-
     runner = _runner(args)
     rows = []
-    for technique in (Technique.BASELINE,) + tuple(PAPER_TECHNIQUES):
+    for technique in BASELINE_AND_PAPER_TECHNIQUES:
         for kind, label in ((ExecUnitKind.INT, "int"),
                             (ExecUnitKind.FP, "fp")):
             norm = runner.energy_breakdown(args.benchmark, technique,
                                            kind).normalized()
-            rows.append([technique.value, label, norm.dynamic,
+            rows.append([technique, label, norm.dynamic,
                          norm.overhead, norm.static,
                          norm.dynamic + norm.overhead + norm.static])
     print(format_table(

@@ -13,8 +13,9 @@
   gating-policy plugin registries, JSON round-trip and ``spec_hash()``.
 * :mod:`repro.core.techniques` -- the paper's named techniques
   registered as specs and the ``build_sm`` factory wiring scheduler +
-  policies + hooks onto a simulator instance;
-  ``Technique.WARPED_GATES`` is the full system.
+  policies + hooks onto a simulator instance; ``"warped_gates"`` is
+  the full system.  A technique is named by its registered name or by
+  a :class:`~repro.core.spec.TechniqueSpec`.
 """
 
 from repro.core.gates import GatesScheduler
@@ -31,12 +32,7 @@ from repro.core.spec import (
     technique_names,
     technique_spec,
 )
-from repro.core.techniques import (
-    Technique,
-    TechniqueConfig,
-    build_sm,
-    run_benchmark,
-)
+from repro.core.techniques import build_sm, run_benchmark
 
 __all__ = [
     "GatesScheduler",
@@ -52,8 +48,6 @@ __all__ = [
     "register_technique",
     "technique_names",
     "technique_spec",
-    "Technique",
-    "TechniqueConfig",
     "build_sm",
     "run_benchmark",
 ]

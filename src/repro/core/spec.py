@@ -742,33 +742,17 @@ def techniques_by_group() -> Dict[str, List[TechniqueSpec]]:
 
 
 def as_spec(technique: Any) -> TechniqueSpec:
-    """Resolve anything technique-shaped into a :class:`TechniqueSpec`.
+    """Resolve a technique name into a :class:`TechniqueSpec`.
 
-    Accepts a spec (returned as-is), a registered name string, a
-    ``Technique`` enum member (its ``.value`` is the registered name),
-    or any object exposing ``to_spec()`` (``TechniqueConfig``).
+    A technique is named in exactly two forms: a registered name
+    string (resolved by :func:`technique_spec`) or a spec, returned
+    as-is.  Anything else raises :class:`TypeError`.
     """
     if isinstance(technique, TechniqueSpec):
         return technique
     if isinstance(technique, str):
         return technique_spec(technique)
-    to_spec = getattr(technique, "to_spec", None)
-    if callable(to_spec):
-        return to_spec()
-    value = getattr(technique, "value", None)
-    if isinstance(value, str):
-        return technique_spec(value)
     raise TypeError(f"cannot resolve a technique spec from {technique!r}")
-
-
-def technique_label(technique: Any) -> str:
-    """Display name of a technique in any accepted form."""
-    if isinstance(technique, TechniqueSpec):
-        return technique.name
-    if isinstance(technique, str):
-        return technique
-    value = getattr(technique, "value", None)
-    return value if isinstance(value, str) else str(technique)
 
 
 __all__ = [
@@ -792,7 +776,6 @@ __all__ = [
     "register_scheduler",
     "register_technique",
     "scheduler_plugin",
-    "technique_label",
     "technique_names",
     "technique_spec",
     "techniques_by_group",

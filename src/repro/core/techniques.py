@@ -5,34 +5,33 @@ Technique identity lives in :mod:`repro.core.spec`: a
 registered gating policy, an optional adaptive idle-detect config and
 the gating/SM parameter overrides.  This module registers the paper's
 named techniques (plus the design-discussion ablations) as specs and
-keeps the original closed :class:`Technique` enum as *named aliases*
-into that registry — every ``Technique.X`` / ``.value`` call site keeps
-working, while arbitrary scheduler x gating x adaptive compositions run
+wires any spec onto a simulator through :func:`build_sm`.  A technique
+is named either by its registered name (``"warped_gates"``) or by a
+full spec; overrides are ``dataclasses.replace`` on the registered
+spec, so arbitrary scheduler x gating x adaptive compositions run
 through the same :func:`build_sm` without touching core code.
 
 Names follow the paper's evaluation nomenclature (section 7.2):
 
-* ``BASELINE``          — two-level scheduler, no power gating.
-* ``CONV_PG``           — two-level scheduler + conventional power gating.
-* ``GATES``             — GATES scheduler + conventional power gating.
-* ``NAIVE_BLACKOUT``    — GATES + Naive Blackout.
-* ``COORD_BLACKOUT``    — GATES + Coordinated Blackout.
-* ``WARPED_GATES``      — GATES + Coordinated Blackout + Adaptive
+* ``baseline``          — two-level scheduler, no power gating.
+* ``conv_pg``           — two-level scheduler + conventional power gating.
+* ``gates``             — GATES scheduler + conventional power gating.
+* ``naive_blackout``    — GATES + Naive Blackout.
+* ``coord_blackout``    — GATES + Coordinated Blackout.
+* ``warped_gates``      — GATES + Coordinated Blackout + Adaptive
   idle-detect: the full system.
 
 Plus ablations the paper's design discussion motivates but does not name:
 
-* ``GATES_NO_PG``       — GATES scheduling alone (performance isolation).
-* ``BLACKOUT_NO_GATES`` — Naive Blackout under the baseline scheduler
+* ``gates_no_pg``       — GATES scheduling alone (performance isolation).
+* ``blackout_no_gates`` — Naive Blackout under the baseline scheduler
   (how much of Blackout's win needs GATES' coalescing?).
-* ``LRR_CONV_PG``       — conventional gating under a single-level
+* ``lrr_conv_pg``       — conventional gating under a single-level
   round-robin scheduler (pre-two-level reference point).
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.adaptive import AdaptiveConfig, AdaptiveIdleDetect
@@ -45,58 +44,27 @@ from repro.core.spec import (
     gating_policy_plugin,
     register_technique,
     scheduler_plugin,
-    technique_spec,
 )
 from repro.isa.optypes import OpClass, UNIT_FOR_OP_CLASS
 from repro.isa.trace import KernelTrace
 from repro.obs.bus import EventBus
 from repro.power.gating import ConventionalPolicy, GatingDomain
-from repro.power.params import GatingParams
 from repro.sim.config import SMConfig
 from repro.sim.sm import SimResult, StreamingMultiprocessor
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
 
 
-class Technique(enum.Enum):
-    """Scheduling / power-gating configurations under evaluation.
-
-    Each member's ``value`` is the name of a registered
-    :class:`~repro.core.spec.TechniqueSpec`; ``Technique.X.spec``
-    resolves it.
-    """
-
-    BASELINE = "baseline"
-    CONV_PG = "conv_pg"
-    GATES = "gates"
-    NAIVE_BLACKOUT = "naive_blackout"
-    COORD_BLACKOUT = "coord_blackout"
-    WARPED_GATES = "warped_gates"
-    # ablations
-    GATES_NO_PG = "gates_no_pg"
-    BLACKOUT_NO_GATES = "blackout_no_gates"
-    LRR_CONV_PG = "lrr_conv_pg"
-    FETCH_GROUP_CONV_PG = "fetch_group_conv_pg"
-    CCWS_CONV_PG = "ccws_conv_pg"
-
-    @property
-    def spec(self) -> TechniqueSpec:
-        """The registered spec this enum member aliases."""
-        return technique_spec(self.value)
-
-
 #: The five techniques of Figures 9 and 10, in the paper's legend order.
-PAPER_TECHNIQUES = (
-    Technique.CONV_PG,
-    Technique.GATES,
-    Technique.NAIVE_BLACKOUT,
-    Technique.COORD_BLACKOUT,
-    Technique.WARPED_GATES,
-)
+PAPER_TECHNIQUES = ("conv_pg", "gates", "naive_blackout", "coord_blackout",
+                    "warped_gates")
+
+#: The no-gating reference followed by the paper's five techniques.
+BASELINE_AND_PAPER_TECHNIQUES = ("baseline",) + PAPER_TECHNIQUES
 
 
 # ----------------------------------------------------------------------
-# builtin technique registration (the enum's registry backing)
+# builtin technique registration
 # ----------------------------------------------------------------------
 
 _TWO_LEVEL = SchedulerSpec("two_level")
@@ -155,50 +123,6 @@ for _spec, _group in (
 del _spec, _group
 
 
-@dataclass(frozen=True)
-class TechniqueConfig:
-    """All knobs of one experimental configuration (enum-flavoured).
-
-    The historical construction path: an enum member plus overrides.
-    :meth:`to_spec` lowers it onto the registered spec — new code can
-    build :class:`~repro.core.spec.TechniqueSpec` values directly.
-    """
-
-    technique: Technique = Technique.WARPED_GATES
-    gating: GatingParams = field(default_factory=GatingParams)
-    adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
-    max_priority_cycles: Optional[int] = None
-    #: Also gate the SFU group (conventionally).  Off by default: the
-    #: paper leaves SFUs to conventional gating and reports INT/FP only.
-    gate_sfu: bool = False
-
-    @property
-    def label(self) -> str:
-        """Display name used in experiment records and reports."""
-        return self.technique.value
-
-    def to_spec(self) -> TechniqueSpec:
-        """The registered spec with this config's overrides applied."""
-        from dataclasses import replace
-
-        spec = technique_spec(self.technique.value)
-        scheduler = spec.scheduler
-        if (self.max_priority_cycles is not None
-                and "max_priority_cycles"
-                in scheduler_plugin(scheduler.name).params):
-            params = scheduler.param_dict()
-            params["max_priority_cycles"] = self.max_priority_cycles
-            scheduler = SchedulerSpec(scheduler.name, params)
-        return replace(
-            spec,
-            scheduler=scheduler,
-            gating=self.gating,
-            # Techniques without adaptation ignore the adaptive field,
-            # exactly as the pre-spec wiring did.
-            adaptive=self.adaptive if spec.adaptive is not None else None,
-            gate_sfu=self.gate_sfu)
-
-
 def build_sm(kernel, config,
              sm_config: Optional[SMConfig] = None,
              dram_latency: Optional[int] = None,
@@ -207,9 +131,8 @@ def build_sm(kernel, config,
              fast_forward: bool = False) -> StreamingMultiprocessor:
     """Assemble an SM wired for one technique.
 
-    ``config`` is anything :func:`repro.core.spec.as_spec` resolves: a
-    :class:`TechniqueSpec`, a registered technique name, a
-    :class:`Technique` member or a :class:`TechniqueConfig`.  ``kernel``
+    ``config`` is a registered technique name or a
+    :class:`TechniqueSpec` (see :func:`repro.core.spec.as_spec`).  ``kernel``
     is a :class:`KernelTrace` or a sequence of them (run back to back
     with barriers and ``kernel_gap_cycles`` of idle gap).  The wiring
     mirrors Figure 7: the scheduler plugin, the per-cluster gating

@@ -78,7 +78,7 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: Bump to orphan every existing entry (cache format change, simulator
 #: semantics change that config hashes cannot see, ...).  2: entries
 #: gained the checksummed header.  3: result keys switched from
-#: ``TechniqueConfig`` reprs to canonical ``TechniqueSpec`` hashes.
+#: technique-config reprs to canonical ``TechniqueSpec`` hashes.
 CACHE_VERSION = 3
 
 #: Entry header: magic tag + SHA-256 digest of the pickled payload.

@@ -77,37 +77,32 @@ def load_or_build_kernel(benchmark: str, seed: int, scale: float,
 class SimJob:
     """One (benchmark × technique) simulation, fully specified.
 
-    ``config`` is anything :func:`repro.core.spec.as_spec` resolves —
-    a :class:`~repro.core.spec.TechniqueSpec`, a registered technique
-    name, a :class:`~repro.core.techniques.Technique` member or a
-    legacy :class:`~repro.core.techniques.TechniqueConfig`.  It is kept
-    exactly as given (callers may inspect what they submitted); the
-    :attr:`spec` property is the resolved identity every derived key
-    and manifest uses.
+    ``config`` may be given as a registered technique name or a
+    :class:`~repro.core.spec.TechniqueSpec`; it is resolved once, at
+    construction, and holds the spec every derived key and manifest
+    uses.
     """
 
     benchmark: str
-    config: object
+    config: TechniqueSpec
     sm_config: SMConfig = field(default_factory=SMConfig)
     seed: int = 0
     scale: float = 1.0
     fast_forward: bool = True
 
-    @property
-    def spec(self) -> TechniqueSpec:
-        """The resolved technique spec this job runs."""
-        return as_spec(self.config)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "config", as_spec(self.config))
 
     def cache_key(self) -> str:
         """Result-cache key: human-readable prefix + full config hash.
 
-        Keyed on the spec's canonical hash, so an enum member, its name
-        string and an equal hand-built spec share cache entries.
+        Keyed on the spec's canonical hash, so a registered name and an
+        equal hand-built spec share cache entries.
         ``fast_forward`` is part of the key even though results are
         bit-identical by contract — a fast-forward bug then cannot
         poison serially-produced entries (or the other way round).
         """
-        spec = self.spec
+        spec = self.config
         profile = get_profile(self.benchmark)
         digest = config_hash(
             scaled_spec(profile.spec, self.scale), spec.spec_hash(),
@@ -145,7 +140,7 @@ def failure_manifest(job: SimJob, report: JobReport) -> RunManifest:
     a successful manifest carries — so a sweep's manifest list records
     exactly which cells failed, how often they were attempted, and why.
     """
-    spec = job.spec
+    spec = job.config
     return RunManifest(
         benchmark=job.benchmark,
         technique=spec.name,
@@ -213,7 +208,7 @@ def _run_cell(job: SimJob, cache_dir: Optional[str],
                      janitor=False,
                      listener=session.emit if session is not None
                      else None) if cache_dir else None
-    spec = job.spec
+    spec = job.config
     settings_hash = config_hash(spec.spec_hash(), job.sm_config)
     key = job.cache_key()
 
@@ -275,14 +270,18 @@ class SMPartJob:
     """One SM's share of a multi-SM :class:`~repro.sim.gpu.GPU` run.
 
     Carries the already-split part trace (parts are small and cheap to
-    pickle), so workers need no access to the parent kernel.
+    pickle), so workers need no access to the parent kernel.  Like
+    :class:`SimJob`, ``config`` is resolved to its spec at construction.
     """
 
     part: KernelTrace
-    config: object
+    config: TechniqueSpec
     sm_config: SMConfig
     dram_latency: Optional[int] = None
     fast_forward: bool = True
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "config", as_spec(self.config))
 
 
 def sm_part_label(job: SMPartJob) -> str:
@@ -292,7 +291,7 @@ def sm_part_label(job: SMPartJob) -> str:
     suffixes ``#smN``), so live progress distinguishes the fifteen
     parts of one device launch the same way grid cells are told apart.
     """
-    return f"{job.part.name}/{as_spec(job.config).name}"
+    return f"{job.part.name}/{job.config.name}"
 
 
 def execute_sm_part(job: SMPartJob) -> SimResult:

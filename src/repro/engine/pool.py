@@ -60,6 +60,7 @@ from typing import (
     Union,
 )
 
+from repro.core.spec import TechniqueSpec
 from repro.engine.cache import DEFAULT_CACHE_DIR, RunCache
 from repro.engine.faults import (
     FaultPolicy,
@@ -102,15 +103,11 @@ def _ledger_record(index: int, job: SimJob,
                    outcome: JobOutcome) -> Dict[str, object]:
     """One run-ledger job line, derived from the settled outcome."""
     manifest = outcome.manifest
-    try:
-        spec_hash = job.spec.spec_hash()
-    except Exception:  # unresolvable spec; the status already says so
-        spec_hash = ""
     return dict(
         index=index,
         benchmark=manifest.benchmark,
         technique=manifest.technique,
-        spec_hash=spec_hash,
+        spec_hash=job.config.spec_hash(),
         seed=manifest.seed,
         scale=manifest.scale,
         status=outcome.status.value,
@@ -251,13 +248,9 @@ class ParallelEngine:
         self._labels = [job_label(item, i)
                         for i, item in enumerate(items)]
         for index, item in enumerate(items):
-            try:
-                spec = getattr(item, "spec", None)
-                spec_hash = spec.spec_hash() if spec is not None \
-                    and hasattr(spec, "spec_hash") else ""
-            except Exception:  # unresolvable spec: the job will fail
-                spec_hash = ""  # on execution; don't die announcing it
-
+            config = getattr(item, "config", None)
+            spec_hash = config.spec_hash() \
+                if isinstance(config, TechniqueSpec) else ""
             self._tel.emit(JobQueued.now(label=self._labels[index],
                                          index=index,
                                          spec_hash=spec_hash))

@@ -40,8 +40,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis import paper
 from repro.analysis.paper import TOLERANCES, Tolerance
-from repro.core.spec import as_spec, validate_names
-from repro.core.techniques import PAPER_TECHNIQUES, Technique
+from repro.core.spec import validate_names
+from repro.core.techniques import (
+    BASELINE_AND_PAPER_TECHNIQUES,
+    PAPER_TECHNIQUES,
+)
 from repro.harness import figures
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.export import (
@@ -325,24 +328,23 @@ def collect_headlines(rows_by_figure: Dict[str, Sequence[Row]],
     from repro.power.energy import chip_level_savings
 
     measured: Dict[str, float] = {}
-    fig9_names = [t.value for t in figures.FIG9_TECHNIQUES]
     row = _summary_row(rows_by_figure.get("fig9a", ()), "average")
     if row is not None:
-        measured.update(_columns(row, fig9_names, "fig9_int"))
+        measured.update(_columns(row, PAPER_TECHNIQUES, "fig9_int"))
     row = _summary_row(rows_by_figure.get("fig9b", ()), "average")
     if row is not None:
-        measured.update(_columns(row, fig9_names, "fig9_fp"))
+        measured.update(_columns(row, PAPER_TECHNIQUES, "fig9_fp"))
     row = _summary_row(rows_by_figure.get("fig10", ()), "geomean")
     if row is not None:
-        measured.update(_columns(row, fig9_names, "fig10"))
+        measured.update(_columns(row, PAPER_TECHNIQUES, "fig10"))
     row = _summary_row(rows_by_figure.get("fig8b", ()), "mean")
     if row is not None:
         measured.update(_columns(
             row, ("conv_pg", "gates", "warped_gates"), "fig8b"))
     row = _summary_row(rows_by_figure.get("fig8c", ()), "geomean")
     if row is not None:
-        fig8_names = [t.value for t in figures.FIG8_TECHNIQUES]
-        for key, value in _columns(row, fig8_names, "fig8c").items():
+        for key, value in _columns(row, figures.FIG8_TECHNIQUES,
+                                   "fig8c").items():
             if key.split("/", 1)[1] in paper.FIG8C_WAKEUPS:
                 measured[key] = value
     for row in rows_by_figure.get("fig3", ()):
@@ -436,15 +438,9 @@ def _git_sha(root: Optional[Union[str, Path]] = None) -> str:
 
 
 def _technique_hashes(runner: ExperimentRunner) -> Dict[str, str]:
-    """Spec hash per paper technique, resolved like the runner does
-    (enum references inherit the campaign's gating parameters)."""
-    from dataclasses import replace
-    hashes: Dict[str, str] = {}
-    for technique in (Technique.BASELINE,) + tuple(PAPER_TECHNIQUES):
-        spec = replace(as_spec(technique),
-                       gating=runner.settings.gating)
-        hashes[spec.name] = spec.spec_hash()
-    return hashes
+    """Spec hash per paper technique, as the runner resolves it."""
+    return {name: runner._resolve(name).spec_hash()
+            for name in BASELINE_AND_PAPER_TECHNIQUES}
 
 
 @dataclass
@@ -492,7 +488,7 @@ def _prefetch_grid(runner: ExperimentRunner,
     idle-detect grid inside the builder)."""
     if not any(spec.simulates for spec in specs):
         return
-    requests = [(name, Technique.BASELINE)
+    requests = [(name, "baseline")
                 for name in runner.settings.benchmarks]
     requests += [(name, technique)
                  for name in runner.settings.benchmarks

@@ -5,8 +5,8 @@ techniques, so the runner keys its cache on (benchmark, resolved
 technique-spec hash, seed, scale) and reuses results across figure
 builders — a full figure set touches the same ~110 runs many times.
 Because the key is the :meth:`~repro.core.spec.TechniqueSpec.spec_hash`
-of the *resolved* spec, an enum member, its name string, and an equal
-hand-built spec all land on the same memo cell.
+of the *resolved* spec, a registered name and an equal hand-built spec
+land on the same memo cell.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.spec import TechniqueSpec, as_spec
-from repro.core.techniques import (
-    PAPER_TECHNIQUES,
-    Technique,
-)
+from repro.core.techniques import PAPER_TECHNIQUES
 from repro.isa.optypes import ExecUnitKind
 from repro.obs.bus import EventBus
 from repro.obs.manifest import RunManifest
@@ -63,9 +60,16 @@ class ExperimentSettings:
 
     def energy_params(self, kind: ExecUnitKind) -> EnergyParams:
         """Energy model for one unit kind under these gating params."""
-        dyn = INT_DYN_PER_ISSUE if kind is ExecUnitKind.INT \
-            else FP_DYN_PER_ISSUE
-        return EnergyParams.for_unit(dyn_per_issue=dyn, bet=self.gating.bet)
+        return unit_energy_params(kind, self.gating)
+
+
+def unit_energy_params(kind: ExecUnitKind,
+                       gating: GatingParams) -> EnergyParams:
+    """Energy model for one unit kind, with the overhead of ``gating``'s
+    break-even time."""
+    dyn = INT_DYN_PER_ISSUE if kind is ExecUnitKind.INT \
+        else FP_DYN_PER_ISSUE
+    return EnergyParams.for_unit(dyn_per_issue=dyn, bet=gating.bet)
 
 
 class ExperimentRunner:
@@ -124,11 +128,13 @@ class ExperimentRunner:
     def _resolve(self, technique,
                  gating: Optional[GatingParams] = None,
                  adaptive: Optional[AdaptiveConfig] = None) -> TechniqueSpec:
-        """Resolve a technique (enum / name / spec) plus overrides.
+        """Resolve a technique (registered name or spec) plus overrides.
 
-        An explicit ``gating`` override always wins; otherwise enum and
-        name references inherit the campaign's ``settings.gating``,
-        while a hand-built spec keeps its own parameters.  An
+        The one rule that depends on the form: an explicit ``gating``
+        override always wins; otherwise a registered name inherits the
+        campaign's ``settings.gating``, while a
+        :class:`~repro.core.spec.TechniqueSpec` keeps its own gating
+        (so resolving an already-resolved spec is a no-op).  An
         ``adaptive`` override only applies to adaptive-capable specs —
         the others ignore it, exactly as the pre-spec wiring did.
         """
@@ -166,8 +172,7 @@ class ExperimentRunner:
             adaptive: Optional[AdaptiveConfig] = None) -> SimResult:
         """Run one configuration (memoised service-wide).
 
-        ``technique`` is anything :func:`repro.core.spec.as_spec`
-        resolves: a :class:`Technique` member, a registered name, or a
+        ``technique`` is a registered name or a
         :class:`~repro.core.spec.TechniqueSpec`.  A cell whose engine
         job terminally failed (exception, timeout, fail-fast
         cancellation — after any retries) raises
@@ -215,7 +220,7 @@ class ExperimentRunner:
 
     def baseline(self, benchmark: str) -> SimResult:
         """The no-gating two-level reference run for one benchmark."""
-        return self.run(benchmark, Technique.BASELINE)
+        return self.run(benchmark, "baseline")
 
     def suite(self, techniques: Sequence = PAPER_TECHNIQUES,
               ) -> Dict[Tuple[str, object], SimResult]:
@@ -236,22 +241,25 @@ class ExperimentRunner:
     def static_savings(self, benchmark: str, technique,
                        kind: ExecUnitKind,
                        gating: Optional[GatingParams] = None) -> float:
-        """Figure 9 metric: net static energy saved vs no gating."""
-        gating = gating or self.settings.gating
-        result = self.run(benchmark, technique, gating=gating)
-        params = EnergyParams.for_unit(
-            dyn_per_issue=(INT_DYN_PER_ISSUE if kind is ExecUnitKind.INT
-                           else FP_DYN_PER_ISSUE),
-            bet=gating.bet)
-        return domain_energy(result.unit_activity(kind),
-                             params).static_savings
+        """Figure 9 metric: net static energy saved vs no gating.
 
-    def energy_breakdown(self, benchmark: str, technique: Technique,
+        Scored at the BET of the gating the run actually used.
+        """
+        return self._energy(benchmark, technique, kind,
+                            gating).static_savings
+
+    def energy_breakdown(self, benchmark: str, technique,
                          kind: ExecUnitKind) -> EnergyBreakdown:
         """Figure 1b metric: dynamic / overhead / static components."""
-        result = self.run(benchmark, technique)
+        return self._energy(benchmark, technique, kind)
+
+    def _energy(self, benchmark: str, technique, kind: ExecUnitKind,
+                gating: Optional[GatingParams] = None) -> EnergyBreakdown:
+        """One run's energy, scored under the spec's own gating."""
+        spec = self._resolve(technique, gating)
+        result = self.run(benchmark, spec)
         return domain_energy(result.unit_activity(kind),
-                             self.settings.energy_params(kind))
+                             unit_energy_params(kind, spec.gating))
 
     def fp_benchmarks(self) -> Tuple[str, ...]:
         """Benchmarks with FP activity (Figure 9b's population)."""

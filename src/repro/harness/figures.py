@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 import math
 
 from repro.analysis.idle_periods import region_fractions, histogram_series
-from repro.core.techniques import Technique
+from repro.core.techniques import PAPER_TECHNIQUES
 from repro.harness.experiment import (
     ExperimentRunner,
     geomean_excluding,
@@ -27,20 +27,8 @@ from repro.workloads.characterization import instruction_mix_table
 
 Row = List[object]
 
-#: Figure legend order for the savings/performance figures.
-FIG9_TECHNIQUES: Tuple[Technique, ...] = (
-    Technique.CONV_PG,
-    Technique.GATES,
-    Technique.NAIVE_BLACKOUT,
-    Technique.COORD_BLACKOUT,
-    Technique.WARPED_GATES,
-)
-
-FIG8_TECHNIQUES: Tuple[Technique, ...] = (
-    Technique.GATES,
-    Technique.COORD_BLACKOUT,
-    Technique.WARPED_GATES,
-)
+#: Figure 8a/8c legend order.
+FIG8_TECHNIQUES: Tuple[str, ...] = ("gates", "coord_blackout", "warped_gates")
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +41,7 @@ FIG1B_HEADERS = ("config", "unit", "dynamic", "overhead", "static")
 def fig1b_rows(runner: ExperimentRunner) -> List[Row]:
     """Suite-average normalised energy breakdown (Figure 1b's bars)."""
     rows: List[Row] = []
-    for technique, label in ((Technique.BASELINE, "baseline"),
-                             (Technique.CONV_PG, "conv_pg")):
+    for technique in ("baseline", "conv_pg"):
         for kind, unit in ((ExecUnitKind.INT, "int"),
                            (ExecUnitKind.FP, "fp")):
             benchmarks = (runner.settings.benchmarks
@@ -72,7 +59,7 @@ def fig1b_rows(runner: ExperimentRunner) -> List[Row]:
                 stat += norm.static
                 count += 1
             if count:
-                rows.append([label, unit, dyn / count, ovh / count,
+                rows.append([technique, unit, dyn / count, ovh / count,
                              stat / count])
     return rows
 
@@ -88,10 +75,10 @@ FIG3_HEADERS = ("config", "lt_idle_detect", "loss_region", "gain_region",
 #: uses Naive Blackout: with every >= idle-detect window gated and every
 #: gated window held past break-even, the loss region is exactly empty,
 #: which is the property Figure 3c illustrates.
-FIG3_CONFIGS: Tuple[Tuple[str, Technique], ...] = (
-    ("conv_pg", Technique.CONV_PG),
-    ("gates", Technique.GATES),
-    ("blackout", Technique.NAIVE_BLACKOUT),
+FIG3_CONFIGS: Tuple[Tuple[str, str], ...] = (
+    ("conv_pg", "conv_pg"),
+    ("gates", "gates"),
+    ("blackout", "naive_blackout"),
 )
 
 
@@ -110,7 +97,7 @@ def fig3_rows(runner: ExperimentRunner, benchmark: str = "hotspot",
     return rows
 
 
-def fig3_series(runner: ExperimentRunner, technique: Technique,
+def fig3_series(runner: ExperimentRunner, technique,
                 benchmark: str = "hotspot",
                 kind: ExecUnitKind = ExecUnitKind.INT,
                 max_length: int = 25) -> List[Tuple[int, float]]:
@@ -204,8 +191,7 @@ def fig8a_rows(runner: ExperimentRunner,
 def fig8b_rows(runner: ExperimentRunner,
                kind: ExecUnitKind = ExecUnitKind.INT) -> List[Row]:
     """Signed compensated-state residency (Figure 8b)."""
-    techniques = (Technique.CONV_PG, Technique.GATES,
-                  Technique.WARPED_GATES)
+    techniques = ("conv_pg", "gates", "warped_gates")
     rows: List[Row] = []
     for name in runner.settings.benchmarks:
         row: Row = [name]
@@ -224,7 +210,7 @@ def fig8c_rows(runner: ExperimentRunner,
     """Gating events (wakeups) normalised to conventional gating."""
     rows: List[Row] = []
     for name in runner.settings.benchmarks:
-        conv = runner.run(name, Technique.CONV_PG)
+        conv = runner.run(name, "conv_pg")
         conv_events = conv.gating_totals(kind).gating_events
         row: Row = [name]
         for technique in FIG8_TECHNIQUES:
@@ -273,11 +259,11 @@ def fig9_rows(runner: ExperimentRunner,
     rows: List[Row] = []
     for name in benchmarks:
         row: Row = [name]
-        for technique in FIG9_TECHNIQUES:
+        for technique in PAPER_TECHNIQUES:
             row.append(runner.static_savings(name, technique, kind))
         rows.append(row)
     means: Row = ["average"]
-    for col in range(1, len(FIG9_TECHNIQUES) + 1):
+    for col in range(1, len(PAPER_TECHNIQUES) + 1):
         means.append(sum(float(r[col]) for r in rows) / len(rows))
     rows.append(means)
     return rows
@@ -311,7 +297,7 @@ def fig10_rows(runner: ExperimentRunner) -> List[Row]:
     for name in runner.settings.benchmarks:
         base = runner.baseline(name)
         row: Row = [name]
-        for technique in FIG9_TECHNIQUES:
+        for technique in PAPER_TECHNIQUES:
             row.append(normalized_performance(
                 base, runner.run(name, technique)))
         rows.append(row)

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.spec import technique_label
-from repro.core.techniques import PAPER_TECHNIQUES, Technique
+from repro.core.spec import as_spec
+from repro.core.techniques import PAPER_TECHNIQUES
 from repro.engine.faults import JobFailedError
 from repro.harness.experiment import (
     ExperimentRunner,
@@ -50,9 +50,10 @@ class ReplicatedResult:
     dropped from that whole seed, so cross-technique comparisons always
     average over the same benchmarks.  A count below the configured
     suite size flags a partial (failure-reduced) population.
+    ``technique`` is the technique's registered (spec) name.
     """
 
-    technique: Technique
+    technique: str
     int_savings: MetricEstimate
     fp_savings: MetricEstimate
     performance: MetricEstimate
@@ -72,7 +73,7 @@ def _estimate(samples: Sequence[float]) -> MetricEstimate:
 
 def replicate(settings: ExperimentSettings,
               seeds: Sequence[int] = (0, 1, 2),
-              techniques: Sequence[Technique] = PAPER_TECHNIQUES,
+              techniques: Sequence = PAPER_TECHNIQUES,
               engine=None,
               failure_log: Optional[List[RunManifest]] = None,
               service: Optional[SimulationService] = None,
@@ -101,7 +102,7 @@ def replicate(settings: ExperimentSettings,
         raise ValueError("need at least one seed")
     if service is None:
         service = SimulationService(engine=engine)
-    per_technique: Dict[Technique, Dict[str, List[float]]] = {
+    per_technique: Dict[object, Dict[str, List[float]]] = {
         t: {"int": [], "fp": [], "perf": []} for t in techniques}
     coverage: List[int] = []
     for seed in seeds:
@@ -110,15 +111,15 @@ def replicate(settings: ExperimentSettings,
         runner.prefetch(
             [(name, tech)
              for name in runner.settings.benchmarks
-             for tech in (Technique.BASELINE, *techniques)])
+             for tech in ("baseline", *techniques)])
         # One population per seed: collect every technique's metrics
         # for a benchmark together, so one failed cell drops the
         # benchmark from the seed entirely.
-        surviving: Dict[str, Dict[Technique, Tuple]] = {}
+        surviving: Dict[str, Dict[object, Tuple]] = {}
         for name in runner.settings.benchmarks:
             try:
                 base = runner.baseline(name)
-                cells: Dict[Technique, Tuple] = {}
+                cells: Dict[object, Tuple] = {}
                 for technique in techniques:
                     result = runner.run(name, technique)
                     int_val = runner.static_savings(
@@ -151,7 +152,7 @@ def replicate(settings: ExperimentSettings,
             bucket["perf"].append(geomean(perf_vals))
     return [
         ReplicatedResult(
-            technique=technique,
+            technique=as_spec(technique).name,
             int_savings=_estimate(per_technique[technique]["int"]),
             fp_savings=_estimate(per_technique[technique]["fp"]),
             performance=_estimate(per_technique[technique]["perf"]),
@@ -171,7 +172,7 @@ def replication_rows(results: Sequence[ReplicatedResult],
     rows: List[List[object]] = []
     for result in results:
         rows.append([
-            technique_label(result.technique),
+            result.technique,
             result.int_savings.mean, result.int_savings.stdev,
             result.fp_savings.mean, result.fp_savings.stdev,
             result.performance.mean, result.performance.stdev,

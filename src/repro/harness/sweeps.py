@@ -20,8 +20,7 @@ from repro.analysis.correlation import (
     critical_wakeups_per_kilocycle,
     pearson_r,
 )
-from repro.core.spec import technique_label
-from repro.core.techniques import Technique
+from repro.core.spec import as_spec
 from repro.engine.faults import JobFailedError
 from repro.harness.experiment import (
     ExperimentRunner,
@@ -44,11 +43,11 @@ class SweepPoint:
     ``benchmarks`` counts the surviving runs behind the averages; 0
     means every benchmark failed at this point, in which case the
     metrics are NaN — a failed point is never rendered as a measured
-    zero.
+    zero.  ``technique`` is the technique's registered (spec) name.
     """
 
     value: int
-    technique: Technique
+    technique: str
     int_savings: float
     fp_savings: float
     performance: float
@@ -73,7 +72,7 @@ class CorrelationResult:
 
 def idle_detect_sweep(runner: ExperimentRunner,
                       values: Sequence[int] = IDLE_DETECT_VALUES,
-                      technique: Technique = Technique.NAIVE_BLACKOUT,
+                      technique="naive_blackout",
                       ) -> List[CorrelationResult]:
     """Figure 6: correlate critical wakeups with runtime per benchmark.
 
@@ -83,7 +82,7 @@ def idle_detect_sweep(runner: ExperimentRunner,
     annotations.
     """
     runner.prefetch(
-        [(name, Technique.BASELINE) for name in runner.settings.benchmarks]
+        [(name, "baseline") for name in runner.settings.benchmarks]
         + [(name, technique,
             replace(runner.settings.gating, idle_detect=v))
            for name in runner.settings.benchmarks for v in values])
@@ -115,8 +114,9 @@ def idle_detect_sweep(runner: ExperimentRunner,
     return results
 
 
-def _suite_point(runner: ExperimentRunner, technique: Technique,
+def _suite_point(runner: ExperimentRunner, technique,
                  gating: GatingParams, value: int) -> SweepPoint:
+    label = as_spec(technique).name
     int_savings: List[float] = []
     fp_savings: List[float] = []
     perf: List[float] = []
@@ -142,11 +142,11 @@ def _suite_point(runner: ExperimentRunner, technique: Technique,
         # but mark the point failed (NaN metrics, zero population)
         # instead of fabricating a measured-looking zero.
         nan = float("nan")
-        return SweepPoint(value=value, technique=technique,
+        return SweepPoint(value=value, technique=label,
                           int_savings=nan, fp_savings=nan,
                           performance=nan, benchmarks=0)
     return SweepPoint(
-        value=value, technique=technique,
+        value=value, technique=label,
         int_savings=sum(int_savings) / len(int_savings),
         fp_savings=sum(fp_savings) / len(fp_savings) if fp_savings else 0.0,
         performance=geomean(perf), benchmarks=len(int_savings))
@@ -154,8 +154,7 @@ def _suite_point(runner: ExperimentRunner, technique: Technique,
 
 def bet_sweep(runner: ExperimentRunner,
               values: Sequence[int] = BET_VALUES,
-              techniques: Sequence[Technique] = (
-                  Technique.CONV_PG, Technique.WARPED_GATES),
+              techniques: Sequence = ("conv_pg", "warped_gates"),
               ) -> List[SweepPoint]:
     """Figure 11a: sensitivity to the break-even time."""
     _prefetch_grid(runner, techniques,
@@ -170,11 +169,11 @@ def bet_sweep(runner: ExperimentRunner,
 
 
 def _prefetch_grid(runner: ExperimentRunner,
-                   techniques: Sequence[Technique],
+                   techniques: Sequence,
                    gatings: Sequence[GatingParams]) -> None:
     """Fan a sweep's full run grid over the runner's engine (if any)."""
     runner.prefetch(
-        [(name, Technique.BASELINE) for name in runner.settings.benchmarks]
+        [(name, "baseline") for name in runner.settings.benchmarks]
         + [(name, technique, gating)
            for name in runner.settings.benchmarks
            for gating in gatings for technique in techniques])
@@ -182,8 +181,7 @@ def _prefetch_grid(runner: ExperimentRunner,
 
 def wakeup_sweep(runner: ExperimentRunner,
                  values: Sequence[int] = WAKEUP_VALUES,
-                 techniques: Sequence[Technique] = (
-                     Technique.CONV_PG, Technique.WARPED_GATES),
+                 techniques: Sequence = ("conv_pg", "warped_gates"),
                  ) -> List[SweepPoint]:
     """Figure 11b: sensitivity to the wakeup delay."""
     _prefetch_grid(runner, techniques,
@@ -208,7 +206,7 @@ def sweep_rows(points: Sequence[SweepPoint]) -> List[List[object]]:
     def cell(metric: float) -> Optional[float]:
         return None if math.isnan(metric) else metric
 
-    return [[p.value, technique_label(p.technique), cell(p.int_savings),
+    return [[p.value, p.technique, cell(p.int_savings),
              cell(p.fp_savings), cell(p.performance), p.benchmarks]
             for p in points]
 

@@ -239,10 +239,8 @@ def job_label(item: object, index: Optional[int] = None) -> str:
     """
     benchmark = getattr(item, "benchmark", None)
     if benchmark is not None:
-        try:
-            name = item.spec.name  # type: ignore[attr-defined]
-        except Exception:
-            name = str(getattr(item, "config", "?"))
+        config = getattr(item, "config", "?")
+        name = getattr(config, "name", config)
         return f"{benchmark}/{name}/s{getattr(item, 'seed', 0)}"
     if index is not None:
         return f"item{index}"

@@ -10,8 +10,8 @@ replication harness and the CLI:
 * **single-flight dedupe**: concurrent or repeated submissions of the
   same request share one :class:`JobTicket` — one engine execution, N
   responses — keyed on the spec's canonical
-  :meth:`~repro.core.spec.TechniqueSpec.spec_hash` so an enum member,
-  its name string and an equal hand-built spec all land on one ticket;
+  :meth:`~repro.core.spec.TechniqueSpec.spec_hash` so a registered
+  name and an equal hand-built spec land on one ticket;
 * **structured lifecycle**: tickets move ``queued`` → ``running`` →
   a terminal :class:`JobState` mapped from the engine's
   :class:`~repro.engine.faults.JobStatus`, with a replayable per-job
@@ -84,9 +84,9 @@ class JobState(str, Enum):
 class JobRequest:
     """The frozen identity of one requested simulation.
 
-    ``technique`` is anything :func:`repro.core.spec.as_spec` resolves
-    (spec, registered name, enum member); it is kept exactly as given,
-    and :attr:`spec` is the resolved identity every key uses — the same
+    ``technique`` may be given as a registered name or a
+    :class:`~repro.core.spec.TechniqueSpec`; it is resolved once, at
+    construction, and holds the spec every key uses — the same
     convention as :class:`~repro.engine.jobs.SimJob`.
 
     ``fast_forward=None`` (the default) defers to the executing path:
@@ -95,20 +95,18 @@ class JobRequest:
     """
 
     benchmark: str
-    technique: object
+    technique: TechniqueSpec
     sm_config: SMConfig = field(default_factory=SMConfig)
     seed: int = 0
     scale: float = 1.0
     fast_forward: Optional[bool] = None
 
-    @property
-    def spec(self) -> TechniqueSpec:
-        """The resolved technique spec this request runs."""
-        return as_spec(self.technique)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "technique", as_spec(self.technique))
 
     def label(self) -> str:
         """Telemetry label, matching the engine's ``job_label`` form."""
-        return f"{self.benchmark}/{self.spec.name}/s{self.seed}"
+        return f"{self.benchmark}/{self.technique.name}/s{self.seed}"
 
     def key(self, fast_forward: bool) -> Tuple:
         """The single-flight dedupe key, with fast-forward resolved.
@@ -117,12 +115,12 @@ class JobRequest:
         and the resolved fast-forward flag, so one service shared by
         differently-configured callers can never alias their cells.
         """
-        return (self.benchmark, self.spec.spec_hash(), self.seed,
+        return (self.benchmark, self.technique.spec_hash(), self.seed,
                 self.scale, config_hash(self.sm_config), fast_forward)
 
     def to_sim_job(self, fast_forward: bool) -> SimJob:
         """The engine-level :class:`SimJob` this request resolves to."""
-        return SimJob(benchmark=self.benchmark, config=self.spec,
+        return SimJob(benchmark=self.benchmark, config=self.technique,
                       sm_config=self.sm_config, seed=self.seed,
                       scale=self.scale, fast_forward=fast_forward)
 
@@ -132,7 +130,7 @@ class JobRequest:
         """JSON form for the HTTP API (SM config stays server-side)."""
         doc: Dict[str, object] = {
             "benchmark": self.benchmark,
-            "spec": self.spec.to_dict(),
+            "spec": self.technique.to_dict(),
             "seed": self.seed,
             "scale": self.scale,
         }
@@ -175,7 +173,7 @@ class JobRequest:
             name = doc["technique"]
             if not isinstance(name, str):
                 raise ValueError("'technique' must be a string name")
-            technique: object = as_spec(name)
+            technique = as_spec(name)
         else:
             technique = TechniqueSpec.from_dict(doc["spec"])
         seed = doc.get("seed", 0)
@@ -247,7 +245,7 @@ class JobTicket:
         assert self.outcome is not None
         if not self.outcome.ok:
             raise_for_outcome(self.request.benchmark,
-                              self.request.spec, self.outcome)
+                              self.request.technique, self.outcome)
         return self.outcome.result
 
     def digest(self) -> Optional[str]:
@@ -267,8 +265,8 @@ class JobTicket:
             "label": self.label,
             "state": self.state.value,
             "benchmark": self.request.benchmark,
-            "technique": self.request.spec.name,
-            "spec_hash": self.request.spec.spec_hash(),
+            "technique": self.request.technique.name,
+            "spec_hash": self.request.technique.spec_hash(),
             "seed": self.request.seed,
             "scale": self.request.scale,
             "fast_forward": self.fast_forward,
@@ -365,7 +363,7 @@ class SimulationService:
                 created = True
         self._publish(ServiceJobAccepted.now(
             job_id=ticket.job_id, label=ticket.label,
-            spec_hash=request.spec.spec_hash(), deduped=not created))
+            spec_hash=request.technique.spec_hash(), deduped=not created))
         if created:
             ticket.feed.append(self._state_record(ticket))
         return ticket, created
@@ -506,7 +504,7 @@ class SimulationService:
         shared bus only ever sees one run at a time.
         """
         request = ticket.request
-        spec = request.spec
+        spec = request.technique
         with self._exec_lock:
             t0 = time.perf_counter()
             kernel = build_kernel(request.benchmark, seed=request.seed,

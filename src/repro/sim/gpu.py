@@ -118,10 +118,12 @@ class GPU:
 
     * ``GPU(n, sm_factory)`` — legacy closure-based wiring; runs
       serially only (closures don't pickle).
-    * ``GPU(n, config=TechniqueConfig(...), sm_config=..., ...)`` —
-      declarative wiring from picklable configs, which additionally
-      allows ``run(kernel, engine=...)`` to fan the per-SM parts over
-      a :class:`~repro.engine.pool.ParallelEngine`.
+    * ``GPU(n, config="warped_gates", sm_config=..., ...)`` —
+      declarative wiring from a technique name or
+      :class:`~repro.core.spec.TechniqueSpec`, resolved once here and
+      held as the spec in ``config``; it additionally allows
+      ``run(kernel, engine=...)`` to fan the per-SM parts over a
+      :class:`~repro.engine.pool.ParallelEngine`.
     """
 
     def __init__(self, n_sms: int, sm_factory: Optional[SMFactory] = None,
@@ -139,6 +141,9 @@ class GPU:
             # an opaque closure has already baked its latency in.
             raise ValueError(
                 "memory_side needs config-based construction")
+        if config is not None:
+            from repro.core.spec import as_spec
+            config = as_spec(config)
         self.n_sms = n_sms
         self.config = config
         self.sm_config = sm_config
@@ -153,8 +158,8 @@ class GPU:
                     fast_forward: bool = False) -> "GPU":
         """Build the full chip a named device preset describes.
 
-        ``config`` is the technique (anything
-        :func:`repro.core.spec.as_spec` resolves); the preset supplies
+        ``config`` is the technique (a registered name or a
+        :class:`~repro.core.spec.TechniqueSpec`); the preset supplies
         SM count, per-SM structure and the shared memory side.
         Unknown preset names raise with a did-you-mean suggestion.
         """

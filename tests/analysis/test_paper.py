@@ -8,7 +8,7 @@ from repro.core.techniques import PAPER_TECHNIQUES
 
 class TestInternalConsistency:
     def test_savings_cover_all_paper_techniques(self):
-        names = {t.value for t in PAPER_TECHNIQUES}
+        names = set(PAPER_TECHNIQUES)
         assert set(paper.FIG9_INT_SAVINGS) == names
         assert set(paper.FIG9_FP_SAVINGS) == names
         assert set(paper.FIG10_PERFORMANCE) == names

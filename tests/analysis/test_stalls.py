@@ -10,7 +10,7 @@ from repro.analysis.stalls import (
     stall_rows,
     stalls_per_kilocycle,
 )
-from repro.core.techniques import Technique, TechniqueConfig, run_benchmark
+from repro.core.techniques import run_benchmark
 
 from tests.conftest import TEST_SCALE
 
@@ -18,10 +18,9 @@ from tests.conftest import TEST_SCALE
 @pytest.fixture(scope="module")
 def runs():
     return {
-        technique.value: run_benchmark(
-            "hotspot", TechniqueConfig(technique), scale=TEST_SCALE)
-        for technique in (Technique.BASELINE, Technique.CONV_PG,
-                          Technique.NAIVE_BLACKOUT)
+        technique: run_benchmark(
+            "hotspot", technique, scale=TEST_SCALE)
+        for technique in ("baseline", "conv_pg", "naive_blackout")
     }
 
 

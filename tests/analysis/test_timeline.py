@@ -3,17 +3,17 @@
 import pytest
 
 from repro.analysis.timeline import TIMELINE_HEADERS, PowerTimeline
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import build_sm
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
 
 from tests.conftest import SMALL_SM
 
 
-def run_with_timeline(technique=Technique.WARPED_GATES, epoch=100,
+def run_with_timeline(technique="warped_gates", epoch=100,
                       names=None):
     kernel = build_kernel("hotspot", scale=0.2)
-    sm = build_sm(kernel, TechniqueConfig(technique), sm_config=SMALL_SM,
+    sm = build_sm(kernel, technique, sm_config=SMALL_SM,
                   dram_latency=get_profile("hotspot").dram_latency)
     timeline = PowerTimeline(sm, epoch_cycles=epoch, names=names)
     result = sm.run()
@@ -56,7 +56,7 @@ class TestRecording:
                    for s in timeline.samples("LDST"))
 
     def test_baseline_has_no_gated_cycles(self):
-        timeline, _ = run_with_timeline(technique=Technique.BASELINE)
+        timeline, _ = run_with_timeline(technique="baseline")
         for name in timeline.domains():
             assert all(s.gated == 0 for s in timeline.samples(name))
 
@@ -83,14 +83,14 @@ class TestDerived:
 class TestValidation:
     def test_epoch_must_be_positive(self):
         kernel = build_kernel("hotspot", scale=0.1)
-        sm = build_sm(kernel, TechniqueConfig(Technique.BASELINE),
+        sm = build_sm(kernel, "baseline",
                       sm_config=SMALL_SM)
         with pytest.raises(ValueError):
             PowerTimeline(sm, epoch_cycles=0)
 
     def test_unknown_pipeline(self):
         kernel = build_kernel("hotspot", scale=0.1)
-        sm = build_sm(kernel, TechniqueConfig(Technique.BASELINE),
+        sm = build_sm(kernel, "baseline",
                       sm_config=SMALL_SM)
         with pytest.raises(KeyError):
             PowerTimeline(sm, names=("XYZ",))

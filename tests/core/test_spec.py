@@ -10,6 +10,7 @@ config dataclasses.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -31,13 +32,12 @@ from repro.core.spec import (
     register_gating_policy,
     register_scheduler,
     register_technique,
-    technique_label,
     technique_names,
     technique_spec,
     techniques_by_group,
     validate_names,
 )
-from repro.core.techniques import Technique, TechniqueConfig
+from repro.core.techniques import build_sm
 from repro.power.params import GatingParams
 from repro.sim.config import MemoryConfig, SMConfig
 
@@ -111,10 +111,6 @@ class TestRegistries:
                           gating_policy=GatingPolicySpec("naive_blackout")))
         assert technique_spec("my_combo") is spec
         assert "my_combo" in technique_names("user")
-
-    def test_enum_members_alias_registered_specs(self):
-        for member in Technique:
-            assert member.spec.name == member.value
 
 
 class TestNameValidation:
@@ -358,27 +354,27 @@ class TestAsSpec:
         expected = technique_spec("warped_gates")
         assert as_spec(expected) is expected
         assert as_spec("warped_gates") == expected
-        assert as_spec(Technique.WARPED_GATES) == expected
 
-    def test_technique_config_lowers_via_to_spec(self):
-        config = TechniqueConfig(Technique.WARPED_GATES)
-        assert as_spec(config).spec_hash() == \
-            technique_spec("warped_gates").spec_hash()
-
-    def test_config_overrides_reach_the_spec(self):
-        config = TechniqueConfig(Technique.GATES,
-                                 gating=GatingParams(bet=19),
-                                 max_priority_cycles=512)
-        spec = as_spec(config)
-        assert spec.gating.bet == 19
+    def test_config_overrides_reach_the_spec(self, tiny_kernel):
+        base = technique_spec("gates")
+        spec = dataclasses.replace(
+            base, gating=GatingParams(bet=19),
+            scheduler=SchedulerSpec("gates", {"max_priority_cycles": 512}))
+        spec.validate()
+        assert as_spec(spec) is spec
         assert spec.scheduler.param_dict() == {"max_priority_cycles": 512}
-        assert spec.spec_hash() != technique_spec("gates").spec_hash()
+        assert spec.spec_hash() != base.spec_hash()
+        sm = build_sm(tiny_kernel, spec)
+        assert sm.scheduler.max_priority_cycles == 512
 
     def test_rejects_garbage(self):
-        with pytest.raises(TypeError, match="cannot resolve"):
-            as_spec(42)
+        class LegacyConfig:
+            def to_spec(self):
+                return technique_spec("gates")
 
-    def test_labels(self):
-        assert technique_label(Technique.WARPED_GATES) == "warped_gates"
-        assert technique_label("warped_gates") == "warped_gates"
-        assert technique_label(technique_spec("gates")) == "gates"
+        class LegacyMember:
+            value = "gates"
+
+        for garbage in (42, None, LegacyConfig(), LegacyMember()):
+            with pytest.raises(TypeError, match="cannot resolve"):
+                as_spec(garbage)

@@ -1,5 +1,7 @@
 """Tests for the technique registry and SM wiring."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.adaptive import AdaptiveIdleDetect
@@ -8,13 +10,8 @@ from repro.core.blackout import (
     NaiveBlackoutPolicy,
 )
 from repro.core.gates import GatesScheduler
-from repro.core.techniques import (
-    PAPER_TECHNIQUES,
-    Technique,
-    TechniqueConfig,
-    build_sm,
-    run_benchmark,
-)
+from repro.core.spec import technique_spec
+from repro.core.techniques import PAPER_TECHNIQUES, build_sm, run_benchmark
 from repro.power.gating import ConventionalPolicy
 from repro.sim.sched.two_level import (
     LooseRoundRobinScheduler,
@@ -26,13 +23,13 @@ from tests.conftest import SMALL_SM, TEST_SCALE
 
 class TestWiring:
     def test_baseline_has_no_domains(self, tiny_kernel):
-        sm = build_sm(tiny_kernel, TechniqueConfig(Technique.BASELINE),
+        sm = build_sm(tiny_kernel, "baseline",
                       sm_config=SMALL_SM)
         assert sm.domains == {}
         assert isinstance(sm.scheduler, TwoLevelScheduler)
 
     def test_conv_pg_wiring(self, tiny_kernel):
-        sm = build_sm(tiny_kernel, TechniqueConfig(Technique.CONV_PG),
+        sm = build_sm(tiny_kernel, "conv_pg",
                       sm_config=SMALL_SM)
         assert set(sm.domains) == {"INT0", "INT1", "FP0", "FP1"}
         assert all(isinstance(d.policy, ConventionalPolicy)
@@ -40,7 +37,7 @@ class TestWiring:
         assert isinstance(sm.scheduler, TwoLevelScheduler)
 
     def test_gates_uses_gates_scheduler(self, tiny_kernel):
-        sm = build_sm(tiny_kernel, TechniqueConfig(Technique.GATES),
+        sm = build_sm(tiny_kernel, "gates",
                       sm_config=SMALL_SM)
         assert isinstance(sm.scheduler, GatesScheduler)
         assert not sm.scheduler.blackout_aware
@@ -48,15 +45,13 @@ class TestWiring:
                    for d in sm.domains.values())
 
     def test_naive_blackout_policy(self, tiny_kernel):
-        sm = build_sm(tiny_kernel,
-                      TechniqueConfig(Technique.NAIVE_BLACKOUT),
+        sm = build_sm(tiny_kernel, "naive_blackout",
                       sm_config=SMALL_SM)
         assert all(isinstance(d.policy, NaiveBlackoutPolicy)
                    for d in sm.domains.values())
 
     def test_coordinated_pairs_share_policy_per_type(self, tiny_kernel):
-        sm = build_sm(tiny_kernel,
-                      TechniqueConfig(Technique.COORD_BLACKOUT),
+        sm = build_sm(tiny_kernel, "coord_blackout",
                       sm_config=SMALL_SM)
         assert sm.domains["INT0"].policy is sm.domains["INT1"].policy
         assert sm.domains["FP0"].policy is sm.domains["FP1"].policy
@@ -66,62 +61,57 @@ class TestWiring:
         assert sm.scheduler.blackout_aware
 
     def test_warped_gates_adds_adaptive_hooks(self, tiny_kernel):
-        sm = build_sm(tiny_kernel,
-                      TechniqueConfig(Technique.WARPED_GATES),
+        sm = build_sm(tiny_kernel, "warped_gates",
                       sm_config=SMALL_SM)
         adaptive = [h for h in sm.hooks
                     if isinstance(h, AdaptiveIdleDetect)]
         assert len(adaptive) == 2  # one per unit type
 
     def test_blackout_no_gates_keeps_baseline_scheduler(self, tiny_kernel):
-        sm = build_sm(tiny_kernel,
-                      TechniqueConfig(Technique.BLACKOUT_NO_GATES),
+        sm = build_sm(tiny_kernel, "blackout_no_gates",
                       sm_config=SMALL_SM)
         assert isinstance(sm.scheduler, TwoLevelScheduler)
         assert all(isinstance(d.policy, NaiveBlackoutPolicy)
                    for d in sm.domains.values())
 
     def test_lrr_ablation(self, tiny_kernel):
-        sm = build_sm(tiny_kernel, TechniqueConfig(Technique.LRR_CONV_PG),
+        sm = build_sm(tiny_kernel, "lrr_conv_pg",
                       sm_config=SMALL_SM)
         assert isinstance(sm.scheduler, LooseRoundRobinScheduler)
 
     def test_gates_no_pg_has_no_domains(self, tiny_kernel):
-        sm = build_sm(tiny_kernel, TechniqueConfig(Technique.GATES_NO_PG),
+        sm = build_sm(tiny_kernel, "gates_no_pg",
                       sm_config=SMALL_SM)
         assert isinstance(sm.scheduler, GatesScheduler)
         assert sm.domains == {}
 
     def test_sfu_gating_optional(self, tiny_kernel):
         sm = build_sm(tiny_kernel,
-                      TechniqueConfig(Technique.CONV_PG, gate_sfu=True),
+                      replace(technique_spec("conv_pg"), gate_sfu=True),
                       sm_config=SMALL_SM)
         assert "SFU" in sm.domains
 
     def test_paper_techniques_tuple(self):
         assert PAPER_TECHNIQUES == (
-            Technique.CONV_PG, Technique.GATES, Technique.NAIVE_BLACKOUT,
-            Technique.COORD_BLACKOUT, Technique.WARPED_GATES)
+            "conv_pg", "gates", "naive_blackout",
+            "coord_blackout", "warped_gates")
 
 
 class TestRunBenchmark:
     def test_unknown_benchmark_raises(self):
         with pytest.raises(KeyError, match="unknown benchmark"):
-            run_benchmark("nonexistent",
-                          TechniqueConfig(Technique.BASELINE))
+            run_benchmark("nonexistent", "baseline")
 
     def test_runs_and_labels(self):
-        result = run_benchmark("hotspot",
-                               TechniqueConfig(Technique.WARPED_GATES),
+        result = run_benchmark("hotspot", "warped_gates",
                                scale=TEST_SCALE)
         assert result.technique == "warped_gates"
         assert result.kernel_name == "hotspot"
         assert result.cycles > 0
 
     def test_trace_identical_across_techniques(self):
-        a = run_benchmark("hotspot", TechniqueConfig(Technique.BASELINE),
+        a = run_benchmark("hotspot", "baseline",
                           scale=TEST_SCALE)
-        b = run_benchmark("hotspot",
-                          TechniqueConfig(Technique.WARPED_GATES),
+        b = run_benchmark("hotspot", "warped_gates",
                           scale=TEST_SCALE)
         assert a.stats.instructions_retired == b.stats.instructions_retired

@@ -42,7 +42,7 @@ def identity_key(item: Any) -> Any:
 
 def sim_job_key(job) -> str:
     """Plan key for :class:`~repro.engine.jobs.SimJob` items."""
-    return f"{job.benchmark}/{job.spec.name}/s{job.seed}"
+    return f"{job.benchmark}/{job.config.name}/s{job.seed}"
 
 
 def _slug(key: Any) -> str:

@@ -5,7 +5,6 @@ import os
 import pickle
 
 
-from repro.core.techniques import Technique, TechniqueConfig
 from repro.engine.cache import RunCache
 from repro.obs.telemetry import (
     CacheEvicted,
@@ -112,7 +111,7 @@ class TestJanitor:
         # per-job directory scan would grow with cache size.
         orphan = plant_stale_tmp(tmp_path, age_seconds=7200.0)
         job = SimJob(benchmark="hotspot",
-                     config=TechniqueConfig(Technique.BASELINE),
+                     config="baseline",
                      scale=0.2)
         execute_job(job, cache_dir=str(tmp_path))
         assert orphan.exists()
@@ -121,7 +120,7 @@ class TestJanitor:
         from repro.engine import ParallelEngine
         orphan = plant_stale_tmp(tmp_path, age_seconds=7200.0)
         job = SimJob(benchmark="hotspot",
-                     config=TechniqueConfig(Technique.BASELINE),
+                     config="baseline",
                      scale=0.2)
         with ParallelEngine(jobs=1, cache_dir=str(tmp_path)) as engine:
             engine.run_sim_jobs([job])
@@ -273,7 +272,7 @@ class TestTraceMemoisation:
 
 class TestResultCache:
     JOB = SimJob(benchmark="hotspot",
-                 config=TechniqueConfig(Technique.CONV_PG), scale=0.2)
+                 config="conv_pg", scale=0.2)
 
     def test_execute_job_round_trip(self, tmp_path):
         cold = execute_job(self.JOB, cache_dir=str(tmp_path))
@@ -298,13 +297,13 @@ class TestResultCache:
     def test_key_isolates_fast_forward_and_config(self):
         base = self.JOB.cache_key()
         assert SimJob(benchmark="hotspot",
-                      config=TechniqueConfig(Technique.CONV_PG),
+                      config="conv_pg",
                       scale=0.2, fast_forward=False).cache_key() != base
         assert SimJob(benchmark="hotspot",
-                      config=TechniqueConfig(Technique.WARPED_GATES),
+                      config="warped_gates",
                       scale=0.2).cache_key() != base
         assert SimJob(benchmark="hotspot",
-                      config=TechniqueConfig(Technique.CONV_PG),
+                      config="conv_pg",
                       scale=0.2, seed=7).cache_key() != base
 
     def test_no_cache_dir_runs_fresh(self, tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ the inline path.  The cache is disabled throughout so a stale entry
 cannot mask a divergence.
 """
 
-from repro.core.techniques import Technique, TechniqueConfig
+from repro.core.spec import technique_names
 from repro.engine import ParallelEngine, SimJob
 from repro.harness.experiment import ExperimentRunner, ExperimentSettings
 from repro.isa.optypes import ExecUnitKind
@@ -19,9 +19,8 @@ SETTINGS = ExperimentSettings(scale=SCALE)
 
 
 def _grid():
-    return [SimJob(benchmark=name, config=TechniqueConfig(technique),
-                   scale=SCALE)
-            for name in BENCHMARKS for technique in Technique]
+    return [SimJob(benchmark=name, config=technique, scale=SCALE)
+            for name in BENCHMARKS for technique in technique_names()]
 
 
 def _energy(result):
@@ -39,7 +38,7 @@ class TestPoolDeterminism:
             parallel = pooled.run_sim_jobs(jobs)
         assert len(serial) == len(parallel) == len(jobs)
         for job, a, b in zip(jobs, serial, parallel):
-            label = (job.benchmark, job.spec.name)
+            label = (job.benchmark, job.config.name)
             assert b.result.cycles == a.result.cycles, label
             assert b.result.metrics == a.result.metrics, label
             assert _energy(b.result) == _energy(a.result), label
@@ -60,11 +59,9 @@ class TestRunnerEngineEquivalence:
             fanned = ExperimentRunner(SETTINGS, engine=engine)
             fanned.prefetch([(name, technique)
                              for name in BENCHMARKS
-                             for technique in (Technique.BASELINE,
-                                               Technique.WARPED_GATES)])
+                             for technique in ("baseline", "warped_gates")])
             for name in BENCHMARKS:
-                for technique in (Technique.BASELINE,
-                                  Technique.WARPED_GATES):
+                for technique in ("baseline", "warped_gates"):
                     a = legacy.run(name, technique)
                     b = fanned.run(name, technique)
                     assert b.cycles == a.cycles
@@ -74,9 +71,9 @@ class TestRunnerEngineEquivalence:
     def test_prefetch_skips_memoised_cells(self):
         with ParallelEngine(jobs=1, cache_dir=None) as engine:
             runner = ExperimentRunner(SETTINGS, engine=engine)
-            runner.run("hotspot", Technique.BASELINE)
-            runner.prefetch([("hotspot", Technique.BASELINE),
-                             ("hotspot", Technique.BASELINE)])
+            runner.run("hotspot", "baseline")
+            runner.prefetch([("hotspot", "baseline"),
+                             ("hotspot", "baseline")])
             assert len(runner.manifests) == 1
 
     def test_bus_runner_ignores_engine(self):

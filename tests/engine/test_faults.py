@@ -15,7 +15,7 @@ The contract under test (the tentpole of this PR):
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig
+from repro.core.spec import technique_names
 from repro.engine import FaultPolicy, JobStatus, ParallelEngine, SimJob
 from repro.engine.faults import JobFailedError
 
@@ -198,9 +198,10 @@ class TestSimJobGrid:
     VICTIM = "bfs/warped_gates/s0"
 
     def _grid(self):
-        jobs = [SimJob(benchmark=name, config=TechniqueConfig(technique),
+        jobs = [SimJob(benchmark=name, config=technique,
                        scale=self.SCALE)
-                for name in ("hotspot", "bfs") for technique in Technique]
+                for name in ("hotspot", "bfs")
+                for technique in technique_names()]
         assert len(jobs) >= 20
         return jobs
 
@@ -228,9 +229,8 @@ class TestSimJobGrid:
 
     def test_permanent_failure_leaves_survivors_intact(self):
         jobs = [SimJob(benchmark="hotspot",
-                       config=TechniqueConfig(technique), scale=self.SCALE)
-                for technique in (Technique.BASELINE, Technique.CONV_PG,
-                                  Technique.WARPED_GATES)]
+                       config=technique, scale=self.SCALE)
+                for technique in ("baseline", "conv_pg", "warped_gates")]
         victim = sim_job_key(jobs[1])
         with ParallelEngine(jobs=1, cache_dir=None) as inline:
             reference = inline.run_sim_jobs(jobs)
@@ -245,7 +245,7 @@ class TestSimJobGrid:
         manifest = outcomes[1].manifest
         assert manifest.status == "failed" and not manifest.ok
         assert manifest.benchmark == "hotspot"
-        assert manifest.technique == Technique.CONV_PG.value
+        assert manifest.technique == "conv_pg"
         for i in (0, 2):
             assert outcomes[i].ok
             assert outcomes[i].result.metrics == \
@@ -269,17 +269,16 @@ class TestHarnessIntegration:
         plan = FaultPlan(crash=("bfs/warped_gates/s0",))
         with FaultyEngine(plan, jobs=1, cache_dir=None) as engine:
             runner = ExperimentRunner(self._settings(), engine=engine)
-            runner.prefetch([("hotspot", Technique.WARPED_GATES),
-                             ("bfs", Technique.WARPED_GATES)])
+            runner.prefetch([("hotspot", "warped_gates"),
+                             ("bfs", "warped_gates")])
             # Surviving cell is served; the failed one raises on read.
-            assert runner.run("hotspot",
-                              Technique.WARPED_GATES).cycles > 0
+            assert runner.run("hotspot", "warped_gates").cycles > 0
             with pytest.raises(JobFailedError, match="bfs/warped_gates"):
-                runner.run("bfs", Technique.WARPED_GATES)
+                runner.run("bfs", "warped_gates")
             # Memoised: the second read raises without re-simulating.
             manifests_before = len(runner.manifests)
             with pytest.raises(JobFailedError):
-                runner.run("bfs", Technique.WARPED_GATES)
+                runner.run("bfs", "warped_gates")
             assert len(runner.manifests) == manifests_before
             assert [m.benchmark for m in runner.failures] == ["bfs"]
             assert runner.failures[0].status == "failed"
@@ -291,7 +290,7 @@ class TestHarnessIntegration:
         with FaultyEngine(plan, jobs=1, cache_dir=None) as engine:
             runner = ExperimentRunner(self._settings(), engine=engine)
             points = bet_sweep(runner, values=(14,),
-                               techniques=(Technique.CONV_PG,))
+                               techniques=("conv_pg",))
         assert len(points) == 1
         assert points[0].performance > 0  # hotspot survived
         assert points[0].benchmarks == 1  # ... and is flagged as alone
@@ -305,7 +304,7 @@ class TestHarnessIntegration:
         with FaultyEngine(plan, jobs=1, cache_dir=None) as engine:
             runner = ExperimentRunner(self._settings(), engine=engine)
             points = bet_sweep(runner, values=(14,),
-                               techniques=(Technique.CONV_PG,))
+                               techniques=("conv_pg",))
         assert len(points) == 1
         point = points[0]
         assert point.failed and point.benchmarks == 0
@@ -324,7 +323,7 @@ class TestHarnessIntegration:
         failure_log = []
         with FaultyEngine(plan, jobs=1, cache_dir=None) as engine:
             results = replicate(self._settings(), seeds=(0,),
-                                techniques=(Technique.WARPED_GATES,),
+                                techniques=("warped_gates",),
                                 engine=engine, failure_log=failure_log)
         assert len(results) == 1
         assert results[0].performance.n == 1  # hotspot carried the seed

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig
 from repro.engine import ParallelEngine, SimJob
 
 
@@ -42,8 +41,8 @@ class TestMap:
 class TestSimJobs:
     def test_pool_attributes_worker_processes(self):
         jobs = [SimJob(benchmark="hotspot",
-                       config=TechniqueConfig(technique), scale=0.2)
-                for technique in (Technique.BASELINE, Technique.CONV_PG)]
+                       config=technique, scale=0.2)
+                for technique in ("baseline", "conv_pg")]
         with ParallelEngine(jobs=2, cache_dir=None) as engine:
             outcomes = engine.run_sim_jobs(jobs)
         assert len(outcomes) == 2
@@ -55,7 +54,7 @@ class TestSimJobs:
         engine = ParallelEngine(jobs=1, cache_dir=None)
         outcome = engine.run_sim_job(
             SimJob(benchmark="hotspot",
-                   config=TechniqueConfig(Technique.BASELINE), scale=0.2))
+                   config="baseline", scale=0.2))
         assert outcome.manifest.worker == "MainProcess"
 
     def test_open_cache_follows_cache_dir(self, tmp_path):

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.core.techniques import Technique
 from repro.harness import figures
 from repro.harness.experiment import ExperimentRunner, ExperimentSettings
 from repro.isa.optypes import ExecUnitKind
@@ -58,7 +57,7 @@ class TestFig3:
         assert rows["blackout"][2] == pytest.approx(0.0)
 
     def test_series_shape(self, runner):
-        series = figures.fig3_series(runner, Technique.CONV_PG,
+        series = figures.fig3_series(runner, "conv_pg",
                                      max_length=25)
         assert len(series) == 25
         assert sum(f for _, f in series) == pytest.approx(1.0, abs=1e-9)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.techniques import Technique
 from repro.harness.experiment import ExperimentSettings
 from repro.harness.replication import (
     REPLICATION_HEADERS,
@@ -37,10 +36,9 @@ class TestReplicate:
 
     def test_structure_and_ordering(self):
         results = replicate(SETTINGS, seeds=(0, 1),
-                            techniques=(Technique.CONV_PG,
-                                        Technique.WARPED_GATES))
+                            techniques=("conv_pg", "warped_gates"))
         assert [r.technique for r in results] == \
-            [Technique.CONV_PG, Technique.WARPED_GATES]
+            ["conv_pg", "warped_gates"]
         for result in results:
             assert result.int_savings.n == 2
             assert result.performance.n == 2
@@ -48,12 +46,12 @@ class TestReplicate:
 
     def test_single_seed_zero_spread(self):
         results = replicate(SETTINGS, seeds=(0,),
-                            techniques=(Technique.CONV_PG,))
+                            techniques=("conv_pg",))
         assert results[0].int_savings.stdev == 0.0
 
     def test_metrics_plausible(self):
         results = replicate(SETTINGS, seeds=(0, 1),
-                            techniques=(Technique.WARPED_GATES,))
+                            techniques=("warped_gates",))
         result = results[0]
         assert -1.0 <= result.int_savings.mean <= 1.0
         assert 0.5 < result.performance.mean < 1.5
@@ -62,12 +60,12 @@ class TestReplicate:
         # With only integer-only benchmarks, FP savings stay zero.
         settings = ExperimentSettings(scale=0.2, benchmarks=("nw",))
         results = replicate(settings, seeds=(0,),
-                            techniques=(Technique.WARPED_GATES,))
+                            techniques=("warped_gates",))
         assert results[0].fp_savings.mean == 0.0
 
     def test_rows_shape(self):
         results = replicate(SETTINGS, seeds=(0,),
-                            techniques=(Technique.CONV_PG,))
+                            techniques=("conv_pg",))
         rows = replication_rows(results)
         assert len(rows[0]) == len(REPLICATION_HEADERS)
         assert rows[0][0] == "conv_pg"

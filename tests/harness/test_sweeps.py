@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.techniques import Technique
 from repro.harness.experiment import ExperimentRunner, ExperimentSettings
 from repro.harness.sweeps import (
     BET_VALUES,
@@ -36,7 +35,7 @@ class TestBetSweep:
         assert len(points) == 4  # 2 values x 2 techniques
         assert {p.value for p in points} == {9, 19}
         assert {p.technique for p in points} == \
-            {Technique.CONV_PG, Technique.WARPED_GATES}
+            {"conv_pg", "warped_gates"}
 
     def test_performance_positive(self, runner):
         for point in bet_sweep(runner, values=(14,)):
@@ -59,7 +58,7 @@ class TestWakeupSweep:
         # wakeup latency constantly, so a 9-cycle wakeup hurts it more
         # than a 3-cycle one.
         points = wakeup_sweep(runner, values=(3, 9),
-                              techniques=(Technique.CONV_PG,))
+                              techniques=("conv_pg",))
         perf = {p.value: p.performance for p in points}
         assert perf[9] <= perf[3] + 0.02
 

@@ -7,9 +7,12 @@ break-even accounting and wakeup timing — a regression here means the
 timing conventions in docs/architecture.md changed.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.spec import technique_spec
+from repro.core.techniques import build_sm
 from repro.isa.instructions import fp_op, int_op
 from repro.isa.optypes import ExecUnitKind
 from repro.isa.trace import KernelTrace, WarpTrace
@@ -21,9 +24,9 @@ CONFIG = SMConfig(max_resident_warps=2, fetch_width=8,
 GATING = GatingParams(idle_detect=3, bet=6, wakeup_delay=2)
 
 
-def run(kernel, technique, **kwargs):
-    sm = build_sm(kernel, TechniqueConfig(technique, gating=GATING,
-                                          **kwargs), sm_config=CONFIG)
+def run(kernel, technique):
+    sm = build_sm(kernel, replace(technique_spec(technique), gating=GATING),
+                  sm_config=CONFIG)
     return sm.run()
 
 
@@ -45,7 +48,7 @@ class TestPureComputeTiming:
         kernel = KernelTrace(
             name="chain", warps=(WarpTrace(0, tuple(chain(int_op, 5))),),
             max_resident_warps=2)
-        result = run(kernel, Technique.BASELINE)
+        result = run(kernel, "baseline")
         assert result.cycles == 21
 
     def test_int_unit_busy_cycles_exact(self):
@@ -53,7 +56,7 @@ class TestPureComputeTiming:
         kernel = KernelTrace(
             name="chain", warps=(WarpTrace(0, tuple(chain(int_op, 5))),),
             max_resident_warps=2)
-        result = run(kernel, Technique.BASELINE)
+        result = run(kernel, "baseline")
         assert result.stats.idle_trackers["INT0"].busy_cycles == 20
 
 
@@ -68,7 +71,7 @@ class TestConventionalGatingArithmetic:
             for i in range(8))
         kernel = KernelTrace(name="k", warps=(WarpTrace(0, insts),),
                              max_resident_warps=2)
-        result = run(kernel, Technique.CONV_PG)
+        result = run(kernel, "conv_pg")
         stats = result.domain_stats["INT0"]
         assert stats.gating_events == 1
         assert stats.wakeups == 0  # nothing ever wants INT0 again
@@ -89,8 +92,8 @@ class TestConventionalGatingArithmetic:
         kernel = KernelTrace(name="k",
                              warps=(WarpTrace(0, tuple(insts)),),
                              max_resident_warps=2)
-        base = run(kernel, Technique.BASELINE)
-        conv = run(kernel, Technique.CONV_PG)
+        base = run(kernel, "baseline")
+        conv = run(kernel, "conv_pg")
         assert conv.cycles == base.cycles + 2 * GATING.wakeup_delay
         assert conv.domain_stats["INT0"].wakeups == 1
         assert conv.domain_stats["FP0"].wakeups == 1
@@ -110,7 +113,7 @@ class TestBlackoutArithmetic:
         kernel = KernelTrace(name="k",
                              warps=(WarpTrace(0, tuple(insts)),),
                              max_resident_warps=2)
-        result = run(kernel, Technique.NAIVE_BLACKOUT)
+        result = run(kernel, "naive_blackout")
         fp0 = result.domain_stats["FP0"]
         assert fp0.wakeups == 1
         assert fp0.critical_wakeups == 1
@@ -131,8 +134,8 @@ class TestBlackoutArithmetic:
         kernel = KernelTrace(name="k",
                              warps=(WarpTrace(0, tuple(insts)),),
                              max_resident_warps=2)
-        conv = run(kernel, Technique.CONV_PG)
-        blackout = run(kernel, Technique.NAIVE_BLACKOUT)
+        conv = run(kernel, "conv_pg")
+        blackout = run(kernel, "naive_blackout")
         # Blackout forces the dependant to wait out the BET window.
         assert blackout.cycles > conv.cycles
 
@@ -147,7 +150,7 @@ class TestSavingsFormula:
             for i in range(8))
         kernel = KernelTrace(name="k", warps=(WarpTrace(0, insts),),
                              max_resident_warps=2)
-        result = run(kernel, Technique.CONV_PG)
+        result = run(kernel, "conv_pg")
         activity = result.unit_activity(ExecUnitKind.INT)
         params = EnergyParams.for_unit(dyn_per_issue=2.0, bet=GATING.bet)
         expected = (activity.gated_cycles

@@ -2,19 +2,20 @@
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.spec import technique_names
+from repro.core.techniques import build_sm
 from repro.isa.optypes import ExecUnitKind
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
 
 from tests.conftest import SMALL_SM, TEST_SCALE
 
-ALL_TECHNIQUES = list(Technique)
+ALL_TECHNIQUES = technique_names()
 
 
-def run(technique: Technique, benchmark: str = "hotspot"):
+def run(technique: str, benchmark: str = "hotspot"):
     kernel = build_kernel(benchmark, scale=TEST_SCALE)
-    sm = build_sm(kernel, TechniqueConfig(technique), sm_config=SMALL_SM,
+    sm = build_sm(kernel, technique, sm_config=SMALL_SM,
                   dram_latency=get_profile(benchmark).dram_latency)
     return kernel, sm.run()
 
@@ -63,8 +64,8 @@ class TestUniversalInvariants:
             assert stats.gated_cycles <= tracker.idle_cycles
 
 
-BLACKOUT_TECHNIQUES = [Technique.NAIVE_BLACKOUT, Technique.COORD_BLACKOUT,
-                       Technique.WARPED_GATES, Technique.BLACKOUT_NO_GATES]
+BLACKOUT_TECHNIQUES = ["naive_blackout", "coord_blackout",
+                       "warped_gates", "blackout_no_gates"]
 
 
 @pytest.mark.parametrize("technique", BLACKOUT_TECHNIQUES)
@@ -87,14 +88,14 @@ class TestBlackoutInvariants:
 
 class TestConventionalBehaviour:
     def test_conv_pg_can_wake_early(self):
-        _, result = run(Technique.CONV_PG)
+        _, result = run("conv_pg")
         total_uncomp = sum(s.wakeups_uncompensated
                            for s in result.domain_stats.values())
         # hotspot's fragmented idleness makes early wakeups common.
         assert total_uncomp > 0
 
     def test_conv_denied_wakeups_never_happen(self):
-        _, result = run(Technique.CONV_PG)
+        _, result = run("conv_pg")
         for stats in result.domain_stats.values():
             assert stats.denied_wakeups == 0
 
@@ -102,23 +103,21 @@ class TestConventionalBehaviour:
 class TestCrossTechnique:
     def test_instructions_identical_across_techniques(self):
         counts = set()
-        for technique in (Technique.BASELINE, Technique.CONV_PG,
-                          Technique.WARPED_GATES):
+        for technique in ("baseline", "conv_pg", "warped_gates"):
             _, result = run(technique)
             counts.add(result.stats.instructions_retired)
         assert len(counts) == 1
 
     def test_baseline_fastest_or_close(self):
-        _, base = run(Technique.BASELINE)
-        for technique in (Technique.CONV_PG, Technique.NAIVE_BLACKOUT,
-                          Technique.WARPED_GATES):
+        _, base = run("baseline")
+        for technique in ("conv_pg", "naive_blackout", "warped_gates"):
             _, result = run(technique)
             # Gating can cost cycles but must stay within a sane band.
             assert result.cycles <= base.cycles * 1.5
 
     def test_integer_only_benchmark_never_wakes_fp(self):
         kernel = build_kernel("lavaMD", scale=TEST_SCALE)
-        sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
+        sm = build_sm(kernel, "warped_gates",
                       sm_config=SMALL_SM)
         result = sm.run()
         fp = result.gating_totals(ExecUnitKind.FP)

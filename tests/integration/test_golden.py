@@ -15,34 +15,33 @@ across numpy versions (NEP 19), so these values are portable.
 Re-record with::
 
     python - <<'PY'
-    from repro.core.techniques import Technique, TechniqueConfig, \
+    from repro.core.techniques import \
         run_benchmark
     for name in ("hotspot", "bfs", "nw"):
-        for tech in (Technique.BASELINE, Technique.CONV_PG,
-                     Technique.WARPED_GATES):
-            r = run_benchmark(name, TechniqueConfig(tech), scale=0.25)
+        for tech in ("baseline", "conv_pg", "warped_gates"):
+            r = run_benchmark(name, tech, scale=0.25)
             gated = sum(s.gated_cycles for s in r.domain_stats.values())
-            print(name, tech.value, r.cycles,
+            print(name, tech, r.cycles,
                   r.stats.instructions_retired, gated)
     PY
 """
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, run_benchmark
+from repro.core.techniques import run_benchmark
 
 #: (benchmark, technique) -> (cycles, instructions retired, total gated
 #: cycles across domains), at seed 0 / scale 0.25.
 GOLDEN = {
-    ("hotspot", Technique.BASELINE): (1003, 384, 0),
-    ("hotspot", Technique.CONV_PG): (997, 384, 2852),
-    ("hotspot", Technique.WARPED_GATES): (894, 384, 2572),
-    ("bfs", Technique.BASELINE): (2391, 336, 0),
-    ("bfs", Technique.CONV_PG): (2439, 336, 8691),
-    ("bfs", Technique.WARPED_GATES): (2623, 336, 9485),
-    ("nw", Technique.BASELINE): (776, 48, 0),
-    ("nw", Technique.CONV_PG): (699, 48, 2630),
-    ("nw", Technique.WARPED_GATES): (682, 48, 2562),
+    ("hotspot", "baseline"): (1003, 384, 0),
+    ("hotspot", "conv_pg"): (997, 384, 2852),
+    ("hotspot", "warped_gates"): (894, 384, 2572),
+    ("bfs", "baseline"): (2391, 336, 0),
+    ("bfs", "conv_pg"): (2439, 336, 8691),
+    ("bfs", "warped_gates"): (2623, 336, 9485),
+    ("nw", "baseline"): (776, 48, 0),
+    ("nw", "conv_pg"): (699, 48, 2630),
+    ("nw", "warped_gates"): (682, 48, 2562),
 }
 
 
@@ -50,7 +49,7 @@ GOLDEN = {
 def test_golden_run(key):
     name, technique = key
     expected_cycles, expected_insts, expected_gated = GOLDEN[key]
-    result = run_benchmark(name, TechniqueConfig(technique), scale=0.25)
+    result = run_benchmark(name, technique, scale=0.25)
     gated = sum(s.gated_cycles for s in result.domain_stats.values())
     assert (result.cycles, result.stats.instructions_retired, gated) == \
         (expected_cycles, expected_insts, expected_gated), (

@@ -8,7 +8,7 @@ the real SM under GATES and check who actually issues each cycle.
 
 
 from repro.core.gates import GatesScheduler
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import build_sm
 from repro.isa.instructions import fp_op, int_op, load_op, sfu_op
 from repro.isa.optypes import OpClass
 from repro.isa.trace import KernelTrace, WarpTrace
@@ -74,7 +74,7 @@ class TestDualIssueInTheSM:
             WarpTrace(i, tuple(int_op(dest=j % 8) for j in range(16)))
             for i in range(2))
         kernel = KernelTrace(name="k", warps=warps, max_resident_warps=2)
-        sm = build_sm(kernel, TechniqueConfig(Technique.GATES_NO_PG),
+        sm = build_sm(kernel, "gates_no_pg",
                       sm_config=CONFIG)
         result = sm.run()
         # 32 instructions; near-perfect dual issue after warm-up.
@@ -96,7 +96,7 @@ class TestDualIssueInTheSM:
                  WarpTrace(1, (fp_op(dest=0),)),
                  warps[2])
         kernel = KernelTrace(name="k", warps=warps, max_resident_warps=3)
-        sm = build_sm(kernel, TechniqueConfig(Technique.GATES_NO_PG),
+        sm = build_sm(kernel, "gates_no_pg",
                       sm_config=CONFIG)
         result = sm.run()
         assert result.pipeline_issues["INT0"] == 16

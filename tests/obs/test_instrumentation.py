@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import build_sm
 from repro.harness.experiment import ExperimentRunner, ExperimentSettings
 from repro.obs.bus import EventBus
 from repro.obs.events import GateOff, GateOn, Wakeup
@@ -26,11 +26,11 @@ from repro.workloads.registry import build_kernel
 from tests.conftest import SMALL_SM, TEST_SCALE
 
 
-def _instrumented_run(technique=Technique.WARPED_GATES):
+def _instrumented_run(technique="warped_gates"):
     """One golden run with an enabled bus; returns (sm, result, events)."""
     kernel = build_kernel("hotspot", seed=0, scale=TEST_SCALE)
     bus = EventBus(enabled=True)
-    sm = build_sm(kernel, TechniqueConfig(technique),
+    sm = build_sm(kernel, technique,
                   sm_config=SMALL_SM, bus=bus)
     events = []
     bus.subscribe(events.append)
@@ -127,7 +127,7 @@ class TestMetricsMatchLegacyCounters:
         # The registry is built at collection time, not from events, so
         # an uninstrumented run (the default) carries the same view.
         kernel = build_kernel("hotspot", seed=0, scale=TEST_SCALE)
-        sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
+        sm = build_sm(kernel, "warped_gates",
                       sm_config=SMALL_SM)
         result = sm.run()
         assert not sm.bus.enabled
@@ -143,7 +143,7 @@ class TestDisabledBusEquivalence:
         # not anyone is listening: observation must stay observation.
         _, instrumented, _ = golden
         kernel = build_kernel("hotspot", seed=0, scale=TEST_SCALE)
-        sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
+        sm = build_sm(kernel, "warped_gates",
                       sm_config=SMALL_SM)
         plain = sm.run()
         assert plain.cycles == instrumented.cycles
@@ -157,7 +157,7 @@ class TestChromeTraceAcceptance:
         # check per-domain gated-span sums against SimResult metrics.
         kernel = build_kernel("hotspot", seed=0, scale=TEST_SCALE)
         bus = EventBus(enabled=True)
-        sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
+        sm = build_sm(kernel, "warped_gates",
                       sm_config=SMALL_SM, bus=bus)
         trace = ChromeTraceExporter().attach(bus)
         result = sm.run()
@@ -182,7 +182,7 @@ class TestChromeTraceAcceptance:
     def test_jsonl_log_round_trips_a_real_run(self, tmp_path):
         kernel = build_kernel("hotspot", seed=0, scale=TEST_SCALE)
         bus = EventBus(enabled=True)
-        sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
+        sm = build_sm(kernel, "warped_gates",
                       sm_config=SMALL_SM, bus=bus)
         path = tmp_path / "events.jsonl"
         log = JsonlEventLog(path).attach(bus)
@@ -200,9 +200,9 @@ class TestRunnerProvenance:
         settings = ExperimentSettings(scale=TEST_SCALE,
                                       benchmarks=("hotspot",))
         runner = ExperimentRunner(settings)
-        first = runner.run("hotspot", Technique.BASELINE)
-        again = runner.run("hotspot", Technique.BASELINE)  # cached
-        runner.run("hotspot", Technique.WARPED_GATES)
+        first = runner.run("hotspot", "baseline")
+        again = runner.run("hotspot", "baseline")  # cached
+        runner.run("hotspot", "warped_gates")
         assert again is first
         assert len(runner.manifests) == 2
         manifest = runner.manifests[0]
@@ -225,6 +225,6 @@ class TestRunnerProvenance:
         settings = ExperimentSettings(scale=TEST_SCALE,
                                       benchmarks=("hotspot",))
         runner = ExperimentRunner(settings, bus=bus)
-        runner.run("hotspot", Technique.WARPED_GATES)
+        runner.run("hotspot", "warped_gates")
         assert events
         assert runner.manifests[0].events_published == len(events)

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig
 from repro.engine import ParallelEngine, SimJob
 from repro.obs.ledger import (
     LedgerWriter,
@@ -18,9 +17,9 @@ from repro.obs.ledger import (
 from tests.engine.faults import FaultPlan, FaultyEngine
 
 
-def _job(benchmark="hotspot", technique=Technique.BASELINE, seed=0):
+def _job(benchmark="hotspot", technique="baseline", seed=0):
     return SimJob(benchmark=benchmark,
-                  config=TechniqueConfig(technique), scale=0.2,
+                  config=technique, scale=0.2,
                   seed=seed)
 
 
@@ -118,7 +117,7 @@ class TestEngineLedger:
 
     def test_batch_ledger_matches_outcomes_exactly(self, tmp_path):
         jobs = [_job(seed=0), _job(seed=1),
-                _job(technique=Technique.WARPED_GATES)]
+                _job(technique="warped_gates")]
         with ParallelEngine(jobs=2, cache_dir=str(tmp_path)) as engine:
             outcomes = engine.run_sim_jobs(jobs)
         run_id = engine.last_run_id
@@ -129,7 +128,7 @@ class TestEngineLedger:
         assert len(ledgered) == len(outcomes)
         for job, outcome, record in zip(jobs, outcomes, ledgered):
             assert record["status"] == outcome.status.value
-            assert record["spec_hash"] == job.spec.spec_hash()
+            assert record["spec_hash"] == job.config.spec_hash()
             assert record["benchmark"] == job.benchmark
             assert record["seed"] == job.seed
             assert record["cycles"] == outcome.manifest.cycles

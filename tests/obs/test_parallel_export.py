@@ -11,7 +11,6 @@ it.
 import io
 import json
 
-from repro.core.techniques import Technique, TechniqueConfig
 from repro.engine import ParallelEngine, SimJob
 from repro.obs.exporters import (
     EngineTraceExporter,
@@ -23,9 +22,9 @@ from repro.obs.telemetry import EngineTelemetry, WorkerEventSummary
 from tests.engine.faults import FaultPlan, FaultyEngine
 
 
-def _jobs(n=3, technique=Technique.BASELINE):
+def _jobs(n=3, technique="baseline"):
     return [SimJob(benchmark="hotspot",
-                   config=TechniqueConfig(technique), scale=0.2,
+                   config=technique, scale=0.2,
                    seed=seed) for seed in range(n)]
 
 

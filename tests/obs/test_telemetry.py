@@ -4,7 +4,6 @@ from collections import Counter
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig
 from repro.engine import ParallelEngine, SimJob
 from tests.engine.faults import square
 from repro.obs.bus import EventBus
@@ -29,9 +28,9 @@ from repro.obs.telemetry import (
 )
 
 
-def _job(benchmark="hotspot", technique=Technique.BASELINE, seed=0):
+def _job(benchmark="hotspot", technique="baseline", seed=0):
     return SimJob(benchmark=benchmark,
-                  config=TechniqueConfig(technique), scale=0.2,
+                  config=technique, scale=0.2,
                   seed=seed)
 
 
@@ -57,7 +56,7 @@ class TestEngineEvents:
 
     def test_job_label_for_sim_jobs(self):
         assert job_label(_job()) == "hotspot/baseline/s0"
-        assert job_label(_job("bfs", Technique.WARPED_GATES, seed=3)) \
+        assert job_label(_job("bfs", "warped_gates", seed=3)) \
             == "bfs/warped_gates/s3"
 
     def test_job_label_fallback_for_plain_items(self):

@@ -12,7 +12,7 @@ where window-resync and event-heap edge cases live.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import build_sm
 from repro.isa.optypes import ALL_OP_CLASSES
 from repro.isa.tracegen import TraceSpec, generate_kernel
 from repro.sim.config import MemoryConfig, SMConfig
@@ -39,10 +39,10 @@ def small_specs(draw):
 
 
 TECHNIQUES = st.sampled_from([
-    Technique.BASELINE, Technique.CONV_PG, Technique.GATES,
-    Technique.NAIVE_BLACKOUT, Technique.COORD_BLACKOUT,
-    Technique.WARPED_GATES, Technique.LRR_CONV_PG,
-    Technique.CCWS_CONV_PG])
+    "baseline", "conv_pg", "gates",
+    "naive_blackout", "coord_blackout",
+    "warped_gates", "lrr_conv_pg",
+    "ccws_conv_pg"])
 
 CONFIG = SMConfig(max_resident_warps=10, max_cycles=100_000,
                   memory=MemoryConfig(mshr_entries=4, dram_latency=120))
@@ -50,7 +50,7 @@ CONFIG = SMConfig(max_resident_warps=10, max_cycles=100_000,
 
 def run_one(spec, technique, seed, **kwargs):
     kernel = generate_kernel(spec, seed=seed)
-    sm = build_sm(kernel, TechniqueConfig(technique), sm_config=CONFIG,
+    sm = build_sm(kernel, technique, sm_config=CONFIG,
                   **kwargs)
     return sm.run()
 
@@ -58,7 +58,7 @@ def run_one(spec, technique, seed, **kwargs):
 def run_forced(spec, technique, seed):
     """Run entirely through a directly driven DenseStepKernel."""
     return run_kernel_to_drain(build_sm(generate_kernel(spec, seed=seed),
-                                        TechniqueConfig(technique),
+                                        technique,
                                         sm_config=CONFIG))
 
 

@@ -7,7 +7,7 @@ of scheduling or gating policy.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import build_sm
 from repro.isa.optypes import ALL_OP_CLASSES
 from repro.isa.tracegen import TraceSpec, generate_kernel
 from repro.sim.config import MemoryConfig, SMConfig
@@ -33,9 +33,9 @@ def small_specs(draw):
 
 
 TECHNIQUES = st.sampled_from([
-    Technique.BASELINE, Technique.CONV_PG, Technique.GATES,
-    Technique.NAIVE_BLACKOUT, Technique.COORD_BLACKOUT,
-    Technique.WARPED_GATES])
+    "baseline", "conv_pg", "gates",
+    "naive_blackout", "coord_blackout",
+    "warped_gates"])
 
 CONFIG = SMConfig(max_resident_warps=10, max_cycles=100_000,
                   memory=MemoryConfig(mshr_entries=4, dram_latency=120))
@@ -43,7 +43,7 @@ CONFIG = SMConfig(max_resident_warps=10, max_cycles=100_000,
 
 def run_random(spec, technique, seed):
     kernel = generate_kernel(spec, seed=seed)
-    sm = build_sm(kernel, TechniqueConfig(technique), sm_config=CONFIG)
+    sm = build_sm(kernel, technique, sm_config=CONFIG)
     return kernel, sm.run()
 
 
@@ -82,7 +82,7 @@ def test_domain_and_tracker_invariants(spec, technique, seed):
 @given(spec=small_specs(), seed=st.integers(min_value=0, max_value=50))
 @settings(max_examples=40, deadline=None)
 def test_blackout_guarantee_holds_on_random_workloads(spec, seed):
-    _, result = run_random(spec, Technique.NAIVE_BLACKOUT, seed)
+    _, result = run_random(spec, "naive_blackout", seed)
     for stats in result.domain_stats.values():
         assert stats.wakeups_uncompensated == 0
 

@@ -78,12 +78,11 @@ class TestSingleFlight:
 
     def test_spec_addressing_aliases_equivalent_techniques(self):
         from repro.core.spec import technique_spec
-        from repro.core.techniques import Technique
 
         service = SimulationService()
         a, created_a = service.submit(request(technique="warped_gates"))
         b, created_b = service.submit(
-            request(technique=Technique.WARPED_GATES))
+            request(technique="warped_gates"))
         c, created_c = service.submit(
             request(technique=technique_spec("warped_gates")))
         assert created_a and not created_b and not created_c

@@ -60,9 +60,8 @@ def run_golden_cell(benchmark: str, technique_value: str,
     serial one — that equality is what pins the fast path
     bit-identical.
     """
-    from repro.core.techniques import (Technique, TechniqueConfig,
-                                       run_benchmark)
-    return run_benchmark(benchmark, TechniqueConfig(Technique(technique_value)),
+    from repro.core.techniques import run_benchmark
+    return run_benchmark(benchmark, technique_value,
                          seed=0, scale=GOLDEN_SCALE,
                          fast_forward=fast_forward)
 
@@ -89,12 +88,12 @@ def run_kernel_to_drain(sm):
 
 def run_kernel_cell(benchmark: str, technique_value: str):
     """One single-SM golden run with every cycle through the kernel."""
-    from repro.core.techniques import Technique, TechniqueConfig, build_sm
+    from repro.core.techniques import build_sm
     from repro.workloads.registry import build_kernel
     from repro.workloads.specs import get_profile
 
     sm = build_sm(build_kernel(benchmark, seed=0, scale=GOLDEN_SCALE),
-                  TechniqueConfig(Technique(technique_value)),
+                  technique_value,
                   dram_latency=get_profile(benchmark).dram_latency)
     return run_kernel_to_drain(sm)
 
@@ -107,7 +106,6 @@ def run_golden_device(benchmark: str, technique_value: str,
     committed reference is computed from the serial core.
     """
     from repro.core.device import device_preset
-    from repro.core.techniques import Technique, TechniqueConfig
     from repro.sim.gpu import GPU
     from repro.workloads.registry import build_kernel
     from repro.workloads.specs import get_profile
@@ -115,7 +113,7 @@ def run_golden_device(benchmark: str, technique_value: str,
     kernel = build_kernel(benchmark, seed=0, scale=GOLDEN_SCALE)
     preset = device_preset(GOLDEN_DEVICE_PRESET)
     gpu = GPU(preset.n_sms,
-              config=TechniqueConfig(Technique(technique_value)),
+              config=technique_value,
               sm_config=preset.sm,
               dram_latency=get_profile(benchmark).dram_latency,
               memory_side=preset.memory_side,
@@ -127,14 +125,14 @@ def run_instrumented_golden(benchmark: str = "hotspot",
                             technique_value: str = "warped_gates",
                             fast_forward: bool = False):
     """One bus-enabled golden run; returns (result, events)."""
-    from repro.core.techniques import Technique, TechniqueConfig, build_sm
+    from repro.core.techniques import build_sm
     from repro.obs.bus import EventBus
     from repro.workloads.registry import build_kernel
     from repro.workloads.specs import get_profile
 
     kernel = build_kernel(benchmark, seed=0, scale=GOLDEN_SCALE)
     bus = EventBus(enabled=True)
-    sm = build_sm(kernel, TechniqueConfig(Technique(technique_value)),
+    sm = build_sm(kernel, technique_value,
                   dram_latency=get_profile(benchmark).dram_latency, bus=bus,
                   fast_forward=fast_forward)
     events = []

@@ -10,7 +10,8 @@ it should and disables itself where it must.
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.spec import technique_names
+from repro.core.techniques import build_sm
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
 from tests.sim.identity import (GOLDEN_BENCHMARKS, GOLDEN_SCALE,
@@ -19,17 +20,16 @@ from tests.sim.identity import (GOLDEN_BENCHMARKS, GOLDEN_SCALE,
 SCALE = 0.2
 
 
-def _run(benchmark: str, technique: Technique, fast_forward: bool,
+def _run(benchmark: str, technique: str, fast_forward: bool,
          scale: float = SCALE):
     kernel = build_kernel(benchmark, seed=0, scale=scale)
-    sm = build_sm(kernel, TechniqueConfig(technique),
+    sm = build_sm(kernel, technique,
                   dram_latency=get_profile(benchmark).dram_latency,
                   fast_forward=fast_forward)
     return sm, sm.run()
 
 
-@pytest.mark.parametrize("technique", list(Technique),
-                         ids=lambda t: t.value)
+@pytest.mark.parametrize("technique", technique_names())
 @pytest.mark.parametrize("bench_name", ("hotspot", "bfs"))
 def test_fast_forward_bit_identical(bench_name, technique):
     _, serial = _run(bench_name, technique, fast_forward=False)
@@ -43,7 +43,7 @@ def test_fast_forward_bit_identical(bench_name, technique):
 
 
 def test_forwarder_actually_skips():
-    sm, _ = _run("bfs", Technique.CONV_PG, fast_forward=True)
+    sm, _ = _run("bfs", "conv_pg", fast_forward=True)
     assert sm._forwarder is not None
     assert sm._forwarder.supported
     assert sm._forwarder.skipped_cycles > 0
@@ -51,14 +51,14 @@ def test_forwarder_actually_skips():
 
 
 def test_serial_run_has_no_forwarder():
-    sm, _ = _run("hotspot", Technique.BASELINE, fast_forward=False)
+    sm, _ = _run("hotspot", "baseline", fast_forward=False)
     assert sm._forwarder is None
 
 
 def test_ccws_disables_forwarding():
     """The CCWS decay hook touches every cycle: no span is skippable,
     so the forwarder turns itself off rather than paying the planner."""
-    sm, _ = _run("hotspot", Technique.CCWS_CONV_PG, fast_forward=True)
+    sm, _ = _run("hotspot", "ccws_conv_pg", fast_forward=True)
     assert sm._forwarder is not None
     assert not sm._forwarder.supported
     assert sm._forwarder.skipped_cycles == 0
@@ -71,14 +71,14 @@ def test_enabled_bus_suppresses_skipping():
 
     kernel = build_kernel("hotspot", seed=0, scale=SCALE)
     bus = EventBus(enabled=True)
-    sm = build_sm(kernel, TechniqueConfig(Technique.CONV_PG),
+    sm = build_sm(kernel, "conv_pg",
                   dram_latency=get_profile("hotspot").dram_latency,
                   bus=bus, fast_forward=True)
     events = []
     bus.subscribe(events.append)
     result = sm.run()
     assert sm._forwarder.skipped_cycles == 0
-    _, serial = _run("hotspot", Technique.CONV_PG, fast_forward=False)
+    _, serial = _run("hotspot", "conv_pg", fast_forward=False)
     assert result.metrics == serial.metrics
 
 
@@ -100,7 +100,7 @@ def test_zero_instruction_warp_is_released_before_a_skip():
         WarpTrace(2, (int_op(dest=0),))))
     results = []
     for fast_forward in (False, True):
-        sm = build_sm(kernel, TechniqueConfig(Technique.CONV_PG),
+        sm = build_sm(kernel, "conv_pg",
                       sm_config=SMConfig(max_resident_warps=1),
                       fast_forward=fast_forward)
         results.append(sm.run())
@@ -180,7 +180,7 @@ def _assert_windowed_or_skipped(sm, result):
                          + [("hotspot", "ccws_conv_pg")])
 def test_fast_path_cycles_are_windowed_or_skipped(bench_name, technique):
     """The kernel and the span skipper never both claim a cycle."""
-    sm, result = _run(bench_name, Technique(technique), fast_forward=True,
+    sm, result = _run(bench_name, technique, fast_forward=True,
                       scale=GOLDEN_SCALE)
     _assert_windowed_or_skipped(sm, result)
     if technique == "ccws_conv_pg":
@@ -201,8 +201,7 @@ def test_max_cycles_overrun_raises_identically():
     config = replace(SMConfig(), max_cycles=50)
     errors = []
     for fast_forward in (False, True):
-        sm = build_sm(build_kernel("hotspot", seed=0, scale=SCALE),
-                      TechniqueConfig(Technique.CONV_PG),
+        sm = build_sm(build_kernel("hotspot", seed=0, scale=SCALE), "conv_pg",
                       sm_config=config,
                       dram_latency=get_profile("hotspot").dram_latency,
                       fast_forward=fast_forward)

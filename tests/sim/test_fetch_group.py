@@ -81,11 +81,8 @@ class TestGrouping:
 
 class TestEndToEnd:
     def test_runs_full_benchmark(self):
-        from repro.core.techniques import (Technique, TechniqueConfig,
-                                           run_benchmark)
-        result = run_benchmark("hotspot",
-                               TechniqueConfig(
-                                   Technique.FETCH_GROUP_CONV_PG),
+        from repro.core.techniques import run_benchmark
+        result = run_benchmark("hotspot", "fetch_group_conv_pg",
                                scale=0.25)
         assert result.stats.instructions_retired > 0
         assert result.technique == "fetch_group_conv_pg"

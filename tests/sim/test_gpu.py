@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import build_sm
 from repro.isa.instructions import int_op
 from repro.isa.optypes import ExecUnitKind
 from repro.isa.trace import KernelTrace, WarpTrace
@@ -44,9 +44,9 @@ class TestSplitKernel:
 
 
 class TestGPU:
-    def _factory(self, technique=Technique.BASELINE):
+    def _factory(self, technique="baseline"):
         def build(kernel):
-            return build_sm(kernel, TechniqueConfig(technique),
+            return build_sm(kernel, technique,
                             sm_config=SMALL_SM)
         return build
 
@@ -78,10 +78,10 @@ class TestGPU:
                            for r in result.sm_results)
         assert sum(merged.values()) == per_sm_total
 
-    def test_technique_label_propagates(self, balanced_spec):
+    def test_technique_name_propagates(self, balanced_spec):
         kernel = generate_kernel(balanced_spec, seed=1)
         gpu = GPU(n_sms=2,
-                  sm_factory=self._factory(Technique.WARPED_GATES))
+                  sm_factory=self._factory("warped_gates"))
         assert gpu.run(kernel).technique == "warped_gates"
 
     def test_validation(self):
@@ -115,10 +115,10 @@ class TestDeviceScale:
         from repro.core.device import MemorySideConfig
 
         kernel = generate_kernel(balanced_spec, seed=1)
-        free = GPU(n_sms=4, config=TechniqueConfig(Technique.BASELINE),
+        free = GPU(n_sms=4, config="baseline",
                    sm_config=SMALL_SM, dram_latency=400).run(kernel)
         contended = GPU(n_sms=4,
-                        config=TechniqueConfig(Technique.BASELINE),
+                        config="baseline",
                         sm_config=SMALL_SM, dram_latency=400,
                         memory_side=MemorySideConfig(
                             n_partitions=1, queue_alpha=1.0)).run(kernel)
@@ -128,10 +128,10 @@ class TestDeviceScale:
         from repro.core.device import MemorySideConfig
 
         kernel = generate_kernel(balanced_spec, seed=1)
-        base = GPU(n_sms=1, config=TechniqueConfig(Technique.BASELINE),
+        base = GPU(n_sms=1, config="baseline",
                    sm_config=SMALL_SM, dram_latency=400).run(kernel)
         with_side = GPU(n_sms=1,
-                        config=TechniqueConfig(Technique.BASELINE),
+                        config="baseline",
                         sm_config=SMALL_SM, dram_latency=400,
                         memory_side=MemorySideConfig(
                             n_partitions=1, queue_alpha=1.0)).run(kernel)
@@ -142,7 +142,7 @@ class TestDeviceScale:
 
         kernel = generate_kernel(balanced_spec, seed=1)
         result = GPU(n_sms=3,
-                     config=TechniqueConfig(Technique.WARPED_GATES),
+                     config="warped_gates",
                      sm_config=SMALL_SM, dram_latency=400).run(kernel)
         breakdown = result.energy_breakdown()
         for kind in (ExecUnitKind.INT, ExecUnitKind.FP):

@@ -9,7 +9,7 @@ with span skips.
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import build_sm
 from repro.sim.kernel import DenseStepKernel
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
@@ -18,18 +18,18 @@ from tests.sim.identity import canonical_result, run_kernel_to_drain
 SCALE = 0.2
 
 
-def _build(benchmark: str, technique: Technique, **kwargs):
+def _build(benchmark: str, technique: str, **kwargs):
     kernel = build_kernel(benchmark, seed=0, scale=SCALE)
-    return build_sm(kernel, TechniqueConfig(technique),
+    return build_sm(kernel, technique,
                     dram_latency=get_profile(benchmark).dram_latency,
                     **kwargs)
 
 
-def _serial_result(benchmark: str, technique: Technique):
+def _serial_result(benchmark: str, technique: str):
     return _build(benchmark, technique).run()
 
 
-def _prepared(benchmark: str, technique: Technique):
+def _prepared(benchmark: str, technique: str):
     """An SM ready to be driven by a kernel core directly."""
     sm = _build(benchmark, technique)
     sm._ran = True
@@ -38,9 +38,7 @@ def _prepared(benchmark: str, technique: Technique):
     return sm
 
 
-@pytest.mark.parametrize("technique",
-                         (Technique.BASELINE, Technique.WARPED_GATES),
-                         ids=lambda t: t.value)
+@pytest.mark.parametrize("technique", ("baseline", "warped_gates"))
 @pytest.mark.parametrize("bench_name", ("hotspot", "bfs"))
 def test_forced_kernel_bit_identical(bench_name, technique):
     serial = _serial_result(bench_name, technique)
@@ -58,8 +56,8 @@ def test_window_boundaries_are_invisible():
     Every window entry does a full resync from the live SM state, so
     chopping the run into arbitrary windows must not change anything.
     """
-    serial = canonical_result(_serial_result("bfs", Technique.GATES))
-    sm = _prepared("bfs", Technique.GATES)
+    serial = canonical_result(_serial_result("bfs", "gates"))
+    sm = _prepared("bfs", "gates")
     core = DenseStepKernel(sm)
     cycle = 0
     while not sm._drained():
@@ -70,8 +68,8 @@ def test_window_boundaries_are_invisible():
 
 def test_drain_stops_window_early():
     """A window past the drain point returns at the drain cycle."""
-    expected = _serial_result("hotspot", Technique.BASELINE).cycles
-    sm = _prepared("hotspot", Technique.BASELINE)
+    expected = _serial_result("hotspot", "baseline").cycles
+    sm = _prepared("hotspot", "baseline")
     core = DenseStepKernel(sm)
     end = core.run_window(0, expected + 10_000)
     assert sm._drained()
@@ -85,8 +83,8 @@ def test_kernel_windows_interleave_with_serial_stepping():
     This is the fast-forward handoff shape: some cycles stepped by the
     serial loop, some handed to the kernel, resyncing each time.
     """
-    serial = canonical_result(_serial_result("bfs", Technique.CONV_PG))
-    sm = _prepared("bfs", Technique.CONV_PG)
+    serial = canonical_result(_serial_result("bfs", "conv_pg"))
+    sm = _prepared("bfs", "conv_pg")
     core = DenseStepKernel(sm)
     cycle = 0
     turn = 0
@@ -105,9 +103,8 @@ def test_kernel_windows_interleave_with_serial_stepping():
 
 def test_single_window_run_equals_serial():
     """One window spanning the whole run reproduces the serial run."""
-    serial = canonical_result(_serial_result("bfs",
-                                             Technique.WARPED_GATES))
-    sm = _prepared("bfs", Technique.WARPED_GATES)
+    serial = canonical_result(_serial_result("bfs", "warped_gates"))
+    sm = _prepared("bfs", "warped_gates")
     core = DenseStepKernel(sm)
     cycle = core.run_window(0, sm.config.max_cycles)
     assert canonical_result(sm._collect(cycle)) == serial
@@ -117,8 +114,7 @@ def test_fast_path_windows_and_skips_dense_run():
     """A dense full-scale run both executes kernel windows and skips
     spans between them, and still matches the serial run."""
     def build(fast_forward):
-        return build_sm(build_kernel("bfs", seed=0, scale=1.0),
-                        TechniqueConfig(Technique.WARPED_GATES),
+        return build_sm(build_kernel("bfs", seed=0, scale=1.0), "warped_gates",
                         dram_latency=get_profile("bfs").dram_latency,
                         fast_forward=fast_forward)
 
@@ -133,6 +129,6 @@ def test_fast_path_windows_and_skips_dense_run():
 def test_planner_overhead_not_in_metrics():
     """planner_overhead_cycles stays out of the digested metrics so
     fast-forwarded runs keep the serial digest."""
-    sm = _build("bfs", Technique.CONV_PG, fast_forward=True)
+    sm = _build("bfs", "conv_pg", fast_forward=True)
     result = sm.run()
     assert not any("planner" in key for key in result.metrics)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import build_sm
 from repro.isa.instructions import int_op
 from repro.isa.trace import KernelTrace, WarpTrace
 from repro.sim.config import MemoryConfig, SMConfig
@@ -76,11 +76,9 @@ class TestInTheSM:
                             memory=MemoryConfig(dram_jitter=0.0))
         rf_cfg = SMConfig(max_resident_warps=2, rf_banks=8,
                           memory=MemoryConfig(dram_jitter=0.0))
-        fast = build_sm(self._kernel(),
-                        TechniqueConfig(Technique.BASELINE),
+        fast = build_sm(self._kernel(), "baseline",
                         sm_config=base_cfg).run()
-        slow_sm = build_sm(self._kernel(),
-                           TechniqueConfig(Technique.BASELINE),
+        slow_sm = build_sm(self._kernel(), "baseline",
                            sm_config=rf_cfg)
         slow = slow_sm.run()
         assert slow.cycles > fast.cycles
@@ -88,15 +86,14 @@ class TestInTheSM:
         assert slow_sm.regfile.total_conflict_cycles >= 6
 
     def test_disabled_by_default(self):
-        sm = build_sm(self._kernel(), TechniqueConfig(Technique.BASELINE))
+        sm = build_sm(self._kernel(), "baseline")
         assert sm.regfile is None
 
     def test_invariants_hold_with_rf_model(self):
         rf_cfg = SMConfig(max_resident_warps=8, rf_banks=16)
         from repro.workloads.registry import build_kernel
         kernel = build_kernel("hotspot", scale=0.15)
-        result = build_sm(kernel,
-                          TechniqueConfig(Technique.WARPED_GATES),
+        result = build_sm(kernel, "warped_gates",
                           sm_config=rf_cfg).run()
         assert result.stats.instructions_retired == \
             kernel.total_instructions

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import build_sm
 from repro.isa.optypes import ExecUnitKind
 from repro.sim.memory import MemoryStats
 from repro.sim.sm import SimResult
@@ -16,7 +16,7 @@ from tests.conftest import SMALL_SM
 @pytest.fixture(scope="module")
 def warped_result():
     kernel = build_kernel("hotspot", scale=0.25)
-    sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
+    sm = build_sm(kernel, "warped_gates",
                   sm_config=SMALL_SM,
                   dram_latency=get_profile("hotspot").dram_latency)
     return sm.run()
