@@ -15,12 +15,6 @@ Commands:
 * ``sweep``         — Figure 11 parameter sweeps (``bet`` / ``wakeup``).
 * ``runs``          — query past engine batches from the run ledger
   (``list`` / ``show <run>``).
-* ``serve``         — run the simulation service as a JSON-over-HTTP
-  daemon (submit/status/result/stream endpoints over one shared
-  single-flight core).
-* ``submit``        — client side of ``serve``: submit one job to a
-  running service, optionally stream its event feed and wait for the
-  settled result.
 * ``spec``          — inspect (``show``) or check (``validate``)
   declarative technique specs.
 
@@ -36,11 +30,12 @@ from __future__ import annotations
 import argparse
 import cProfile
 import json
+import math
 import sys
 import tempfile
 import time as _time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.report import format_fraction, format_table
 from repro.core.spec import (
@@ -70,23 +65,16 @@ from repro.harness.artifact import FIGURES, generate_artifact
 from repro.isa.optypes import ExecUnitKind
 from repro.workloads.specs import BENCHMARK_NAMES
 
-#: figure name -> (headers, builder taking a runner).  Derived from the
-#: artifact registry so ``repro figure`` and ``repro figures`` can never
-#: disagree about what a figure's rows are.
-FIGURE_BUILDERS: Dict[str, Tuple[Sequence[str], Callable]] = {
-    name: (spec.headers, spec.build) for name, spec in FIGURES.items()
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Warped Gates (MICRO 2013) reproduction harness")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="workload scale factor (default 1.0)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="trace-generation seed")
+    parser.add_argument("--scale", type=_scale, default=1.0,
+                        help="workload scale factor, finite and > 0 "
+                             "(default 1.0)")
+    parser.add_argument("--seed", type=_seed, default=0,
+                        help="trace-generation seed, >= 0")
     parser.add_argument("--benchmarks", metavar="NAME[,NAME...]",
                         default=None,
                         help="comma-separated benchmark subset")
@@ -156,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "pstats report")
 
     fig_cmd = sub.add_parser("figure", help="regenerate a paper figure")
-    fig_cmd.add_argument("name", choices=sorted(FIGURE_BUILDERS))
+    fig_cmd.add_argument("name", choices=sorted(FIGURES))
     fig_cmd.add_argument("--csv", metavar="PATH",
                          help="also write the rows as CSV")
     fig_cmd.add_argument("--json", metavar="PATH",
@@ -218,44 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     replicate_cmd.add_argument("--seeds", type=int, default=3,
                                help="number of seeds (default 3)")
 
-    serve_cmd = sub.add_parser(
-        "serve", help="run the simulation service over HTTP "
-                      "(submit/status/result/stream)")
-    serve_cmd.add_argument("--host", default="127.0.0.1",
-                           help="bind address (default 127.0.0.1)")
-    serve_cmd.add_argument("--port", type=int, default=8352,
-                           help="bind port; 0 picks a free one "
-                                "(default 8352)")
-    serve_cmd.add_argument("--max-pending", type=int, default=64,
-                           metavar="N",
-                           help="admission bound: submissions past N "
-                                "unsettled jobs get 429 (default 64)")
-
-    submit_cmd = sub.add_parser(
-        "submit", help="submit one job to a running 'repro serve'")
-    submit_cmd.add_argument("benchmark", choices=BENCHMARK_NAMES)
-    submit_cmd.add_argument("technique", nargs="?", default=None,
-                            type=_technique_name,
-                            help="registered technique name; omit when "
-                                 "using --spec")
-    submit_cmd.add_argument("--spec", metavar="PATH", default=None,
-                            dest="spec_file",
-                            help="submit a technique defined by a JSON "
-                                 "spec file instead of a registered name")
-    submit_cmd.add_argument("--host", default="127.0.0.1",
-                            help="service address (default 127.0.0.1)")
-    submit_cmd.add_argument("--port", type=int, default=8352,
-                            help="service port (default 8352)")
-    submit_cmd.add_argument("--wait", type=float, default=600.0,
-                            metavar="SECONDS",
-                            help="how long to wait for the settled "
-                                 "result (default 600)")
-    submit_cmd.add_argument("--no-wait", action="store_true",
-                            help="submit and exit without waiting")
-    submit_cmd.add_argument("--stream", action="store_true",
-                            help="print the job's event feed (JSONL) "
-                                 "while it runs")
-
     spec_cmd = sub.add_parser(
         "spec", help="inspect or validate technique specs")
     spec_sub = spec_cmd.add_subparsers(dest="spec_command", required=True)
@@ -268,6 +218,31 @@ def build_parser() -> argparse.ArgumentParser:
     validate_cmd.add_argument("path", help="spec JSON path")
 
     return parser
+
+
+def _scale(raw: str) -> float:
+    """Argparse ``type`` hook: a finite workload scale above zero."""
+    try:
+        scale = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {raw!r}") from None
+    if not (math.isfinite(scale) and scale > 0):
+        raise argparse.ArgumentTypeError(
+            f"scale must be finite and > 0, got {raw}")
+    return scale
+
+
+def _seed(raw: str) -> int:
+    """Argparse ``type`` hook: a non-negative trace seed."""
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {raw!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _technique_name(name: str) -> str:
@@ -530,7 +505,7 @@ def cmd_list(args: argparse.Namespace) -> int:
                 line += f"  {spec.description}"
             print(line.rstrip())
     print("figures:")
-    for name in sorted(FIGURE_BUILDERS):
+    for name in sorted(FIGURES):
         print(f"  {name}")
     return 0
 
@@ -655,15 +630,16 @@ def _run_device(args: argparse.Namespace, spec) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     """Regenerate one paper figure; optionally export CSV/JSON."""
-    headers, builder = FIGURE_BUILDERS[args.name]
+    figure = FIGURES[args.name]
     runner = _runner(args)
-    rows = builder(runner)
-    print(format_table(headers, rows, title=args.name))
+    rows = figure.build(runner)
+    print(format_table(figure.headers, rows, title=args.name))
     if args.csv:
-        rows_to_csv(headers, rows, path=args.csv)
+        rows_to_csv(figure.headers, rows, path=args.csv)
         print(f"wrote {args.csv}")
     if args.json:
-        rows_to_json(headers, rows, path=args.json, figure=args.name)
+        rows_to_json(figure.headers, rows, path=args.json,
+                     figure=args.name)
         print(f"wrote {args.json}")
     return _failure_exit(runner.manifests)
 
@@ -873,89 +849,6 @@ def cmd_runs(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the simulation service as an HTTP daemon.
-
-    The daemon wraps the same engine the batch commands build from the
-    global flags (``--jobs``, cache, fault policy, telemetry), so a
-    served job and a local ``repro run`` of the same spec produce the
-    same digest — and share the same persistent cache.  Ctrl-C drains
-    gracefully: the listener closes first, then in-flight jobs finish.
-    """
-    import asyncio
-
-    from repro.service.api import serve
-    from repro.service.core import SimulationService
-
-    service = SimulationService(engine=_engine(args))
-
-    def ready(port: int) -> None:
-        print(f"repro service listening on http://{args.host}:{port}",
-              flush=True)
-
-    try:
-        asyncio.run(serve(service, host=args.host, port=args.port,
-                          max_pending=args.max_pending, ready=ready))
-    except KeyboardInterrupt:
-        print("shutting down (drained in-flight jobs)", file=sys.stderr)
-    finally:
-        service.close()
-    return 0
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    """Submit one job to a running service; optionally stream + wait.
-
-    Exit codes mirror ``repro run``: 0 when the job settled ok (or
-    ``--no-wait`` was given), 2 when it terminally failed.
-    """
-    from repro.service.client import ServiceClient, ServiceError
-
-    if (args.technique is None) == (args.spec_file is None):
-        raise SystemExit(
-            "error: give exactly one of a technique name or --spec FILE")
-    request: dict = {"benchmark": args.benchmark,
-                     "seed": args.seed, "scale": args.scale}
-    if args.spec_file:
-        request["spec"] = _load_spec_file(args.spec_file).to_dict()
-    else:
-        request["technique"] = args.technique
-    if args.no_fast_forward:
-        request["fast_forward"] = False
-
-    client = ServiceClient(args.host, args.port)
-    try:
-        doc = client.submit(request)
-    except (ServiceError, OSError) as exc:
-        raise SystemExit(f"error: submit to {args.host}:{args.port} "
-                         f"failed: {exc}") from exc
-    job_id = str(doc["job_id"])
-    dedup = " (deduped onto an existing job)" if doc.get("deduped") else ""
-    print(f"job {job_id}  {doc.get('label')}  "
-          f"state={doc.get('state')}{dedup}")
-    if args.stream:
-        for record in client.stream(job_id):
-            print(json.dumps(record, default=str))
-    if args.no_wait:
-        return 0
-    try:
-        result = client.wait(job_id, timeout=args.wait)
-    except (ServiceError, OSError, TimeoutError) as exc:
-        raise SystemExit(f"error: waiting on job {job_id} failed: "
-                         f"{exc}") from exc
-    rows = [
-        ("state", result.get("state")),
-        ("digest", result.get("digest")),
-        ("cycles", result.get("cycles")),
-        ("attempts", result.get("attempts")),
-    ]
-    if result.get("error"):
-        rows.append(("error", last_error_line(str(result["error"]))[:60]))
-    print(format_table(("field", "value"), rows,
-                       title=f"job {job_id}: {result.get('label')}"))
-    return 0 if result.get("state") == "ok" else 2
-
-
 def cmd_spec(args: argparse.Namespace) -> int:
     """Inspect (``show``) or check (``validate``) technique specs."""
     if args.spec_command == "show":
@@ -985,8 +878,6 @@ COMMANDS = {
     "energy": cmd_energy,
     "replicate": cmd_replicate,
     "runs": cmd_runs,
-    "serve": cmd_serve,
-    "submit": cmd_submit,
     "spec": cmd_spec,
 }
 

@@ -6,10 +6,9 @@ two runs are the same run":
 * the golden identity suite (``tests/sim/identity.py``) pins the
   simulator bit-identical across rewrites by recomputing these digests
   against ``tests/sim/golden/identity.json``;
-* the simulation service (:mod:`repro.service`) stamps every completed
-  job with its result digest, so a client can compare a served result
-  against a local ``repro run`` without shipping the whole pickle;
-* the CI service smoke test asserts served == direct digests.
+* the service parity tests (``tests/service/test_core.py``) assert
+  that engine-run and inline service results equal the classic serial
+  runner's.
 
 The canonical form flattens a :class:`~repro.sim.sm.SimResult` (or a
 multi-SM :class:`~repro.sim.gpu.GPUResult`) into JSON-stable primitives

@@ -23,8 +23,6 @@ The subsystem has four pieces, all usable independently:
   recorder behind ``repro runs list|show``.
 * :mod:`repro.obs.progress` — the TTY-aware live progress renderer
   behind ``--progress``.
-* :mod:`repro.obs.subscribe` — replayable :class:`Feed`\\ s, the
-  service's per-job event streams.
 """
 
 from repro.obs.bus import NULL_BUS, EventBus
@@ -69,7 +67,6 @@ from repro.obs.metrics import (
     metric_key,
 )
 from repro.obs.progress import ProgressReporter
-from repro.obs.subscribe import FEED_CLOSED, Feed
 from repro.obs.telemetry import (
     ENGINE_EVENT_TYPES,
     CacheEvicted,
@@ -105,5 +102,4 @@ __all__ = [
     "LedgerWriter", "ledger_dir_for", "list_runs", "load_run",
     "new_run_id", "summarize_run",
     "ProgressReporter",
-    "FEED_CLOSED", "Feed",
 ]

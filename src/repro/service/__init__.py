@@ -1,18 +1,13 @@
-"""Simulation-as-a-service: one run path behind one core object.
+"""The simulation service: one in-process run path behind one object.
 
-* :mod:`repro.service.core` — the synchronous
-  :class:`SimulationService`: spec-addressed :class:`JobRequest`\\ s,
-  single-flight dedupe onto :class:`JobTicket`\\ s, structured
-  :class:`JobState` lifecycle, engine-or-inline execution, replayable
-  per-job event feeds.  The experiment runner, the sweeps, the
-  replication harness and the CLI all run through it.
-* :mod:`repro.service.api` — the thin asyncio JSON-over-HTTP front end
-  (``repro serve``).
-* :mod:`repro.service.client` — the stdlib blocking client
-  (``repro submit``, CI smoke, examples).
+:mod:`repro.service.core` holds the synchronous
+:class:`SimulationService`: spec-addressed :class:`JobRequest`\\ s,
+single-flight dedupe onto :class:`JobTicket`\\ s, a structured
+:class:`JobState` lifecycle and engine-or-inline execution.  The
+experiment runner, the sweeps, the replication harness and the CLI all
+run through it.
 """
 
-from repro.service.client import ServiceClient, ServiceError
 from repro.service.core import (
     JobRequest,
     JobState,
@@ -25,8 +20,6 @@ __all__ = [
     "JobRequest",
     "JobState",
     "JobTicket",
-    "ServiceClient",
-    "ServiceError",
     "SimulationService",
     "raise_for_outcome",
 ]

@@ -4,9 +4,9 @@ One object — :class:`SimulationService` — owns the whole run path that
 was previously duplicated across the experiment runner, the sweeps, the
 replication harness and the CLI:
 
-* **requests, not call sites**: a :class:`JobRequest` is the frozen,
-  wire-serialisable identity of one simulation (benchmark, resolved
-  technique spec, SM config, seed, scale, fast-forward choice);
+* **requests, not call sites**: a :class:`JobRequest` is the frozen
+  identity of one simulation (benchmark, resolved technique spec, SM
+  config, seed, scale, fast-forward choice);
 * **single-flight dedupe**: concurrent or repeated submissions of the
   same request share one :class:`JobTicket` — one engine execution, N
   responses — keyed on the spec's canonical
@@ -14,24 +14,23 @@ replication harness and the CLI:
   name and an equal hand-built spec land on one ticket;
 * **structured lifecycle**: tickets move ``queued`` → ``running`` →
   a terminal :class:`JobState` mapped from the engine's
-  :class:`~repro.engine.faults.JobStatus`, with a replayable per-job
-  :class:`~repro.obs.subscribe.Feed` any number of consumers can
-  stream (a consumer disconnecting never perturbs the job);
+  :class:`~repro.engine.faults.JobStatus`; every acceptance and state
+  change is published on the engine's telemetry bus as
+  :class:`~repro.obs.telemetry.ServiceJobAccepted` /
+  :class:`~repro.obs.telemetry.ServiceJobStateChanged`;
 * **both execution paths**: with an engine, jobs go through
   :meth:`~repro.engine.pool.ParallelEngine.run_sim_jobs` (persistent
   cache, retries, ledger); without one, the inline path reproduces the
   classic serial runner byte-for-byte, including event-bus wiring.
 
-The service is synchronous and thread-safe; the asyncio front end in
-:mod:`repro.service.api` is a thin shell over it.  The engine itself is
+The service is synchronous and thread-safe.  The engine itself is
 *not* thread-safe (per-batch telemetry state), so all engine access is
-serialised behind one lock — concurrency buys dedupe and admission, not
-parallel batches; the engine's own worker pool provides the fan-out.
+serialised behind one lock — concurrency buys dedupe, not parallel
+batches; the engine's own worker pool provides the fan-out.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 import uuid
@@ -39,14 +38,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.digest import result_digest
 from repro.core.spec import TechniqueSpec, as_spec
 from repro.core.techniques import build_sm
-from repro.engine.faults import JobFailedError, JobStatus, last_error_line
+from repro.engine.faults import JobFailedError, last_error_line
 from repro.engine.jobs import JobOutcome, SimJob
 from repro.obs.bus import EventBus
 from repro.obs.manifest import RunManifest, config_hash
-from repro.obs.subscribe import Feed
 from repro.obs.telemetry import (
     EngineEvent,
     ServiceJobAccepted,
@@ -56,7 +53,7 @@ from repro.obs.telemetry import (
 from repro.sim.config import SMConfig
 from repro.sim.sm import SimResult
 from repro.workloads.registry import build_kernel
-from repro.workloads.specs import BENCHMARK_NAMES, get_profile
+from repro.workloads.specs import get_profile
 
 
 class JobState(str, Enum):
@@ -124,71 +121,6 @@ class JobRequest:
                       sm_config=self.sm_config, seed=self.seed,
                       scale=self.scale, fast_forward=fast_forward)
 
-    # -- wire format ---------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON form for the HTTP API (SM config stays server-side)."""
-        doc: Dict[str, object] = {
-            "benchmark": self.benchmark,
-            "spec": self.technique.to_dict(),
-            "seed": self.seed,
-            "scale": self.scale,
-        }
-        if self.fast_forward is not None:
-            doc["fast_forward"] = self.fast_forward
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: object) -> "JobRequest":
-        """Parse and fully validate the JSON form.
-
-        ``technique`` (a registered name) and ``spec`` (a full
-        :meth:`TechniqueSpec.to_dict` document) are alternatives —
-        exactly one must be present.  Every schema violation raises
-        ValueError with the offending key named, never a KeyError.
-        """
-        if not isinstance(doc, dict):
-            raise ValueError("job request must be a JSON object, got "
-                             f"{type(doc).__name__}")
-        allowed = {"benchmark", "technique", "spec", "seed", "scale",
-                   "fast_forward"}
-        unknown = sorted(set(doc) - allowed)
-        if unknown:
-            raise ValueError(f"job request has unknown key(s) {unknown}; "
-                             f"allowed: {sorted(allowed)}")
-        benchmark = doc.get("benchmark")
-        if not isinstance(benchmark, str) or not benchmark:
-            raise ValueError("'benchmark' must be a non-empty string")
-        if benchmark not in BENCHMARK_NAMES:
-            from repro.core.spec import unknown_name_error
-            raise unknown_name_error("benchmark", benchmark,
-                                     BENCHMARK_NAMES)
-        has_name = "technique" in doc
-        has_spec = "spec" in doc
-        if has_name == has_spec:
-            raise ValueError("job request needs exactly one of "
-                             "'technique' (a registered name) or 'spec' "
-                             "(a full technique-spec object)")
-        if has_name:
-            name = doc["technique"]
-            if not isinstance(name, str):
-                raise ValueError("'technique' must be a string name")
-            technique = as_spec(name)
-        else:
-            technique = TechniqueSpec.from_dict(doc["spec"])
-        seed = doc.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError("'seed' must be an integer")
-        scale = doc.get("scale", 1.0)
-        if isinstance(scale, bool) or not isinstance(scale, (int, float)):
-            raise ValueError("'scale' must be a number")
-        fast_forward = doc.get("fast_forward")
-        if fast_forward is not None and not isinstance(fast_forward, bool):
-            raise ValueError("'fast_forward' must be a boolean or absent")
-        return cls(benchmark=benchmark, technique=technique,
-                   seed=seed, scale=float(scale),
-                   fast_forward=fast_forward)
-
 
 class JobTicket:
     """One deduped unit of work and everything observable about it.
@@ -196,9 +128,7 @@ class JobTicket:
     Tickets are created by :meth:`SimulationService.submit` and shared
     by every submission of the same request.  ``submissions`` counts
     how many times the ticket was (re-)submitted — the observable proof
-    of single-flight dedupe.  ``feed`` carries the job's event stream
-    (state changes, forwarded engine telemetry, the final summary) and
-    closes when the ticket settles.
+    of single-flight dedupe.
     """
 
     def __init__(self, job_id: str, request: JobRequest, key: Tuple,
@@ -212,31 +142,21 @@ class JobTicket:
         self.outcome: Optional[JobOutcome] = None
         self.submissions = 1
         self.created_at = time.time()
-        self.started_at: Optional[float] = None
-        self.finished_at: Optional[float] = None
-        self.feed = Feed()
         self._done = threading.Event()
         self._run_lock = threading.Lock()
         self._exception: Optional[BaseException] = None
-        self._digest: Optional[str] = None
-        self._digest_lock = threading.Lock()
 
     @property
     def done(self) -> bool:
         """True once the ticket has settled (without blocking)."""
         return self._done.is_set()
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the ticket settles; False on timeout."""
-        return self._done.wait(timeout)
-
     def result(self) -> SimResult:
         """The settled result; raises like the classic runner.
 
         A terminally failed engine job raises
         :class:`~repro.engine.faults.JobFailedError`; an inline-path
-        exception is re-raised as itself.  Call only on a done ticket
-        (use :meth:`wait` first).
+        exception is re-raised as itself.  Call only on a done ticket.
         """
         if not self._done.is_set():
             raise RuntimeError(f"job {self.job_id} has not settled yet")
@@ -247,39 +167,6 @@ class JobTicket:
             raise_for_outcome(self.request.benchmark,
                               self.request.technique, self.outcome)
         return self.outcome.result
-
-    def digest(self) -> Optional[str]:
-        """sha256 result digest (lazy — canonicalisation isn't free)."""
-        outcome = self.outcome
-        if outcome is None or outcome.result is None:
-            return None
-        with self._digest_lock:
-            if self._digest is None:
-                self._digest = result_digest(outcome.result)
-            return self._digest
-
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-serialisable status view (the HTTP status document)."""
-        return {
-            "job_id": self.job_id,
-            "label": self.label,
-            "state": self.state.value,
-            "benchmark": self.request.benchmark,
-            "technique": self.request.technique.name,
-            "spec_hash": self.request.technique.spec_hash(),
-            "seed": self.request.seed,
-            "scale": self.request.scale,
-            "fast_forward": self.fast_forward,
-            "submissions": self.submissions,
-            "deduped": self.submissions > 1,
-            "created_at": self.created_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "attempts": (self.outcome.attempts
-                         if self.outcome is not None else 0),
-            "error": (last_error_line(self.outcome.error)
-                      if self.outcome is not None else ""),
-        }
 
 
 def raise_for_outcome(benchmark: str, spec: TechniqueSpec,
@@ -328,16 +215,13 @@ class SimulationService:
         self._exec_lock = threading.Lock()
         self._tickets: Dict[str, JobTicket] = {}
         self._by_key: Dict[Tuple, JobTicket] = {}
-        self._live_labels: Dict[str, JobTicket] = {}
         #: Provenance records, one per actual execution (not per
         #: submission), in settle order.
         self.manifests: List[RunManifest] = []
         self._telemetry_bus = self._find_telemetry_bus()
-        if self._telemetry_bus is not None:
-            self._telemetry_bus.subscribe(self._on_engine_event)
 
     # ------------------------------------------------------------------
-    # submission and lookup
+    # submission
     # ------------------------------------------------------------------
 
     def submit(self, request: JobRequest) -> Tuple[JobTicket, bool]:
@@ -359,19 +243,11 @@ class SimulationService:
                                    fast_forward)
                 self._tickets[ticket.job_id] = ticket
                 self._by_key[key] = ticket
-                self._live_labels[ticket.label] = ticket
                 created = True
         self._publish(ServiceJobAccepted.now(
             job_id=ticket.job_id, label=ticket.label,
             spec_hash=request.technique.spec_hash(), deduped=not created))
-        if created:
-            ticket.feed.append(self._state_record(ticket))
         return ticket, created
-
-    def get(self, job_id: str) -> Optional[JobTicket]:
-        """The ticket for one job id, or None."""
-        with self._lock:
-            return self._tickets.get(job_id)
 
     def tickets(self) -> List[JobTicket]:
         """Every known ticket, oldest first."""
@@ -400,7 +276,6 @@ class SimulationService:
             if ticket._done.is_set():
                 return self._settled(ticket)
             self._set_state(ticket, JobState.RUNNING)
-            ticket.started_at = time.time()
             try:
                 if self.engine is not None:
                     outcome = self._execute_engine(ticket)
@@ -455,7 +330,6 @@ class SimulationService:
                     return tickets
                 for ticket in batch:
                     self._set_state(ticket, JobState.RUNNING)
-                    ticket.started_at = time.time()
                 jobs = [t.request.to_sim_job(t.fast_forward)
                         for t in batch]
                 outcomes = self._run_engine_batch(jobs)
@@ -465,19 +339,6 @@ class SimulationService:
                 for ticket in batch:
                     ticket._run_lock.release()
         return tickets
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait for every known ticket to settle; False on timeout."""
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        for ticket in self.tickets():
-            remaining = (None if deadline is None
-                         else deadline - time.monotonic())
-            if remaining is not None and remaining <= 0:
-                return False
-            if not ticket.wait(remaining):
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # execution paths
@@ -536,21 +397,9 @@ class SimulationService:
 
     def _settle(self, ticket: JobTicket, outcome: JobOutcome) -> None:
         ticket.outcome = outcome
-        ticket.finished_at = time.time()
         with self._lock:
             self.manifests.append(outcome.manifest)
-            self._live_labels.pop(ticket.label, None)
         self._set_state(ticket, JobState(outcome.status.value))
-        ticket.feed.append({
-            "record": "done",
-            "job_id": ticket.job_id,
-            "state": ticket.state.value,
-            "attempts": outcome.attempts,
-            "cycles": outcome.manifest.cycles,
-            "cache_hit": outcome.manifest.cache_hit,
-            "error": last_error_line(outcome.error),
-        })
-        ticket.feed.close()
         ticket._done.set()
 
     def _settle_exception(self, ticket: JobTicket,
@@ -563,19 +412,10 @@ class SimulationService:
         left nothing in the memo.
         """
         ticket._exception = exc
-        ticket.finished_at = time.time()
         with self._lock:
             self._by_key.pop(ticket.key, None)
             self._tickets.pop(ticket.job_id, None)
-            self._live_labels.pop(ticket.label, None)
         self._set_state(ticket, JobState.FAILED)
-        ticket.feed.append({
-            "record": "done",
-            "job_id": ticket.job_id,
-            "state": JobState.FAILED.value,
-            "error": f"{type(exc).__name__}: {exc}",
-        })
-        ticket.feed.close()
         ticket._done.set()
 
     def _settled(self, ticket: JobTicket) -> JobOutcome:
@@ -588,15 +428,8 @@ class SimulationService:
     # events
     # ------------------------------------------------------------------
 
-    def _state_record(self, ticket: JobTicket) -> Dict[str, object]:
-        return {"record": "state", "job_id": ticket.job_id,
-                "label": ticket.label, "state": ticket.state.value,
-                "ts": time.time()}
-
     def _set_state(self, ticket: JobTicket, state: JobState) -> None:
         ticket.state = state
-        if not ticket.feed.closed:
-            ticket.feed.append(self._state_record(ticket))
         self._publish(ServiceJobStateChanged.now(
             job_id=ticket.job_id, label=ticket.label,
             state=state.value))
@@ -609,47 +442,6 @@ class SimulationService:
     def _publish(self, event: EngineEvent) -> None:
         if self._telemetry_bus is not None:
             self._telemetry_bus.publish(event)
-
-    def _on_engine_event(self, event: object) -> None:
-        """Forward one engine-telemetry event into its ticket's feed.
-
-        Engine events carry the ``benchmark/technique/sSEED`` label
-        (see :func:`~repro.obs.telemetry.job_label`); the in-flight
-        ticket with that label gets the event appended to its feed in
-        JSON-friendly form.  Service-originated events are skipped —
-        they are already feed records.
-        """
-        if isinstance(event, (ServiceJobAccepted, ServiceJobStateChanged)):
-            return
-        label = getattr(event, "label", None)
-        if not label:
-            return
-        with self._lock:
-            ticket = self._live_labels.get(label)
-        if ticket is None or ticket.feed.closed:
-            return
-        try:
-            payload = dataclasses.asdict(event)
-        except TypeError:  # pragma: no cover - non-dataclass event
-            payload = {"repr": repr(event)}
-        payload.pop("cycle", None)
-        try:
-            ticket.feed.append({"record": "engine_event",
-                                "event": type(event).__name__, **payload})
-        except ValueError:  # feed raced closed; the job has settled
-            pass
-
-    def close(self) -> None:
-        """Detach from the engine telemetry bus (idempotent)."""
-        if self._telemetry_bus is not None:
-            self._telemetry_bus.unsubscribe(self._on_engine_event)
-            self._telemetry_bus = None
-
-    def __enter__(self) -> "SimulationService":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # helpers

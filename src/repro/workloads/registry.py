@@ -9,6 +9,7 @@ use ``scale=1.0``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from functools import lru_cache
 from typing import Dict, Optional, Sequence
@@ -25,8 +26,8 @@ def scaled_spec(spec: TraceSpec, scale: float) -> TraceSpec:
     warp cap and memory footprint scale with the warp count so occupancy
     and hit-rate regimes stay comparable.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     if scale == 1.0:
         return spec
     n_warps = max(2, round(spec.n_warps * scale))

@@ -39,13 +39,6 @@ class TestRegistry:
         assert [name for name, spec in FIGURES.items()
                 if not spec.simulates] == ["sec75"]
 
-    def test_cli_builders_derive_from_registry(self):
-        from repro.cli import FIGURE_BUILDERS
-        assert set(FIGURE_BUILDERS) == set(FIGURES)
-        for name, (headers, build) in FIGURE_BUILDERS.items():
-            assert headers == FIGURES[name].headers
-            assert build is FIGURES[name].build
-
 
 class TestHeadlineReferences:
     def test_metrics_unique_and_complete(self):

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import FIGURE_BUILDERS, _engine, _failure_exit, \
-    build_parser, main
+from repro.cli import _engine, _failure_exit, build_parser, main
+from repro.harness.artifact import FIGURES
 from repro.obs.manifest import RunManifest
 
 
@@ -55,10 +55,26 @@ class TestParser:
     def test_figure_choices_cover_registry(self):
         args = build_parser().parse_args(["figure", "fig10"])
         assert args.name == "fig10"
-        assert set(FIGURE_BUILDERS) >= {"fig1b", "fig3", "fig5a", "fig5b",
-                                        "fig8a", "fig8b", "fig8c",
-                                        "fig9a", "fig9b", "fig10",
-                                        "sec75"}
+        assert set(FIGURES) >= {"fig1b", "fig3", "fig5a", "fig5b",
+                                "fig8a", "fig8b", "fig8c",
+                                "fig9a", "fig9b", "fig10", "sec75"}
+
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--scale", "nan", "finite and > 0"),
+        ("--scale", "inf", "finite and > 0"),
+        ("--scale", "0", "finite and > 0"),
+        ("--scale", "-1", "finite and > 0"),
+        ("--scale", "big", "invalid float value"),
+        ("--seed", "-5", "seed must be >= 0"),
+        ("--seed", "1.5", "invalid int value"),
+    ])
+    def test_bad_scale_or_seed_exits_at_parse_time(self, capsys, flag,
+                                                   value, reason):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                [flag, value, "run", "bfs", "warped_gates"])
+        assert exc.value.code == 2
+        assert reason in capsys.readouterr().err
 
 
 class TestCommands:

@@ -27,7 +27,7 @@ def test_examples_directory_contents():
                      "characterize_workloads.py", "sensitivity_sweep.py",
                      "adaptive_dynamics.py", "multi_sm_device.py",
                      "custom_workload.py", "power_timeline.py",
-                     "stall_analysis.py", "service_client.py"}
+                     "stall_analysis.py"}
 
 
 def test_quickstart():
@@ -87,8 +87,3 @@ def test_stall_analysis():
     assert "Stall events per kilocycle" in out
     assert "unit_gated" in out
 
-
-def test_service_client():
-    out = run_example("service_client.py", "bfs", "--scale", "0.1")
-    assert "deduped=True" in out
-    assert "digest parity with in-process run: OK" in out

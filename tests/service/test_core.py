@@ -1,4 +1,4 @@
-"""SimulationService core: dedupe, lifecycle, parity, wire format.
+"""SimulationService core: dedupe, lifecycle, parity.
 
 The headline guarantees pinned here:
 
@@ -8,8 +8,9 @@ The headline guarantees pinned here:
 * **Golden parity**: a service-run result digests identically to the
   classic serial :class:`ExperimentRunner` path (the same canonical
   sha256 the golden identity suite pins).
-* **Lifecycle**: tickets move queued → running → terminal, feeds
-  replay-then-close, failures keep the classic raising contract.
+* **Lifecycle**: tickets move queued → running → terminal, each step
+  published on the engine telemetry bus; failures keep the classic
+  raising contract.
 """
 
 import threading
@@ -22,6 +23,11 @@ from repro.engine import FaultPolicy, ParallelEngine
 from repro.engine.faults import JobFailedError
 from repro.engine.jobs import execute_job
 from repro.harness.experiment import ExperimentRunner, ExperimentSettings
+from repro.obs.telemetry import (
+    EngineTelemetry,
+    ServiceJobAccepted,
+    ServiceJobStateChanged,
+)
 from repro.service.core import JobRequest, JobState, SimulationService
 
 from tests.engine.faults import (
@@ -73,7 +79,6 @@ class TestSingleFlight:
         assert len(service.manifests) == 1
         (ticket,) = service.tickets()
         assert ticket.submissions == 4
-        assert ticket.snapshot()["deduped"] is True
         assert all(r is results[0] for r in results)
 
     def test_spec_addressing_aliases_equivalent_techniques(self):
@@ -102,16 +107,14 @@ class TestGoldenParity:
     def test_service_digest_matches_serial_runner(self, tmp_path):
         """Engine-served result == classic serial path, bit for bit."""
         engine = ParallelEngine(jobs=1, cache_dir=str(tmp_path / "cache"))
-        with SimulationService(engine=engine) as service:
-            served = service.run(request())
+        served = SimulationService(engine=engine).run(request())
         runner = ExperimentRunner(ExperimentSettings(
             scale=SCALE, benchmarks=("bfs",)))
         serial = runner.run("bfs", "warped_gates")
         assert result_digest(served) == result_digest(serial)
 
     def test_inline_service_digest_matches_serial_runner(self):
-        with SimulationService() as service:
-            inline = service.run(request())
+        inline = SimulationService().run(request())
         runner = ExperimentRunner(ExperimentSettings(
             scale=SCALE, benchmarks=("bfs",)))
         serial = runner.run("bfs", "warped_gates")
@@ -119,20 +122,28 @@ class TestGoldenParity:
 
 
 class TestLifecycle:
-    def test_states_and_feed_replay(self):
-        service = SimulationService()
+    def test_states_reach_the_telemetry_bus(self, tmp_path):
+        telemetry = EngineTelemetry()
+        events = []
+        telemetry.bus.subscribe(events.append, ServiceJobAccepted,
+                                ServiceJobStateChanged)
+        engine = ParallelEngine(jobs=1, cache_dir=str(tmp_path / "cache"),
+                                telemetry=telemetry)
+        service = SimulationService(engine=engine)
         ticket, created = service.submit(request())
         assert created and ticket.state is JobState.QUEUED
         service.execute(ticket)
         assert ticket.state is JobState.OK and ticket.done
-        records = []
-        unsubscribe = ticket.feed.subscribe(records.append)
-        unsubscribe()
-        records = [r for r in records if isinstance(r, dict)]
-        states = [r["state"] for r in records if r["record"] == "state"]
-        assert states == ["queued", "running", "ok"]
-        done = [r for r in records if r["record"] == "done"]
-        assert len(done) == 1 and done[0]["cycles"] > 0
+        again, created = service.submit(request())
+        assert again is ticket and not created
+        assert ticket.submissions == 2
+
+        accepted = [e for e in events if isinstance(e, ServiceJobAccepted)]
+        assert [e.deduped for e in accepted] == [False, True]
+        assert {e.job_id for e in accepted} == {ticket.job_id}
+        states = [e.state for e in events
+                  if isinstance(e, ServiceJobStateChanged)]
+        assert states == ["running", "ok"]
 
     def test_engine_failure_is_memoised_and_raises(self, tmp_path):
         plan = FaultPlan(crash=("bfs/warped_gates/s0",))
@@ -179,30 +190,5 @@ class TestLifecycle:
         assert len(tickets) == 3
         assert all(t.done for t in tickets)
         assert len(service.manifests) == 3  # 1 direct + 2 batched
-        assert service.drain(timeout=1.0)
+        assert all(t.done for t in service.tickets())
 
-
-class TestWireFormat:
-    def test_round_trip(self):
-        original = request(seed=3, fast_forward=False)
-        parsed = JobRequest.from_dict(original.to_dict())
-        assert parsed.key(False) == original.key(False)
-
-    def test_validation_errors_name_the_offence(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            JobRequest.from_dict({"benchmark": "bfs",
-                                  "technique": "conv_pg", "bogus": 1})
-        with pytest.raises(ValueError, match="exactly one of"):
-            JobRequest.from_dict({"benchmark": "bfs"})
-        with pytest.raises(ValueError, match="exactly one of"):
-            JobRequest.from_dict({"benchmark": "bfs",
-                                  "technique": "conv_pg",
-                                  "spec": {"name": "x"}})
-        with pytest.raises(ValueError, match="did you mean"):
-            JobRequest.from_dict({"benchmark": "bsf",
-                                  "technique": "conv_pg"})
-        with pytest.raises(ValueError, match="'seed'"):
-            JobRequest.from_dict({"benchmark": "bfs",
-                                  "technique": "conv_pg", "seed": "0"})
-        with pytest.raises(ValueError, match="JSON object"):
-            JobRequest.from_dict(["not", "a", "dict"])

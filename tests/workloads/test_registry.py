@@ -64,6 +64,9 @@ class TestScaling:
             scaled_spec(spec, 0.0)
         with pytest.raises(ValueError):
             scaled_spec(spec, -1.0)
+        for scale in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                scaled_spec(spec, scale)
 
 
 class TestBuildAll:
