@@ -14,7 +14,8 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from pathlib import Path
+from typing import Optional, Tuple
 
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.spec import TechniqueSpec, as_spec
@@ -50,6 +51,13 @@ def trace_cache_key(benchmark: str, seed: int, scale: float) -> str:
             f"{config_hash(spec, seed, scale, CACHE_VERSION)}")
 
 
+#: The one decoded trace this process holds: ``((cache root or None,
+#: trace key), trace)``, or None.  Consecutive jobs over one benchmark
+#: (the grid and the sweep submit theirs grouped by benchmark) share
+#: it instead of re-reading and unpickling it per cell.
+_last_trace: Optional[Tuple[Tuple[Optional[Path], str], KernelTrace]] = None
+
+
 def load_or_build_kernel(benchmark: str, seed: int, scale: float,
                          cache: Optional[RunCache] = None) -> KernelTrace:
     """Memoised :func:`repro.workloads.registry.build_kernel`.
@@ -57,15 +65,28 @@ def load_or_build_kernel(benchmark: str, seed: int, scale: float,
     With a cache, the generated trace is stored on disk so parallel
     workers (and later sessions) deserialise instead of regenerating —
     trace generation is a visible fraction of small-run wall time.
+
+    In front of both paths sits a one-entry, per-process memo keyed by
+    ``(cache root or None, trace key)``: a repeat call for the trace
+    just returned costs no disk read and no generation, and a process
+    never holds more than one memoised trace.  The cache root is part
+    of the key so a second cache directory in the same process still
+    gets its trace written.
     """
-    spec = scaled_spec(get_profile(benchmark).spec, scale)
-    if cache is None:
-        return TraceGenerator(spec, seed=seed).generate()
+    global _last_trace
     key = trace_cache_key(benchmark, seed, scale)
-    kernel = cache.get("traces", key)
+    memo_key = (cache.root if cache is not None else None, key)
+    last = _last_trace
+    if last is not None and last[0] == memo_key:
+        return last[1]
+    _last_trace = None  # drop the old trace before building the new
+    kernel = cache.get("traces", key) if cache is not None else None
     if kernel is None:
+        spec = scaled_spec(get_profile(benchmark).spec, scale)
         kernel = TraceGenerator(spec, seed=seed).generate()
-        cache.put("traces", key, kernel)
+        if cache is not None:
+            cache.put("traces", key, kernel)
+    _last_trace = (memo_key, kernel)
     return kernel
 
 

@@ -19,9 +19,10 @@ complementary path runs, then the mask pops).  Nesting is bounded by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import TYPE_CHECKING, List
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: SIMT width of a warp on Fermi.
 WARP_LANES = 32

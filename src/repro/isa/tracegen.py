@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.isa.divergence import DivergenceModel
 from repro.isa.instructions import Instruction, MemorySpace
 from repro.isa.optypes import ALL_OP_CLASSES, OpClass
 from repro.isa.trace import KernelTrace, WarpTrace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Architectural registers available per warp.  Fermi allows up to 63
 #: registers per thread; 32 is a typical compiled footprint and keeps the
@@ -102,7 +103,9 @@ class TraceSpec:
 
     def __post_init__(self) -> None:
         total = sum(self.mix.get(cls, 0.0) for cls in ALL_OP_CLASSES)
-        if not np.isclose(total, 1.0, atol=1e-6):
+        # np.isclose(total, 1.0, atol=1e-6) in closed form (its default
+        # rtol is 1e-5), so building specs never imports numpy.
+        if not abs(total - 1.0) <= 1e-6 + 1e-5:
             raise ValueError(f"{self.name}: mix must sum to 1, got {total}")
         for cls in ALL_OP_CLASSES:
             frac = self.mix.get(cls, 0.0)
@@ -143,15 +146,19 @@ class TraceGenerator:
 
     def generate(self) -> KernelTrace:
         """Build the kernel trace for this generator's spec and seed."""
+        # numpy is imported here, not at module load: only generation
+        # needs it, and processes that read cached traces never generate.
+        from numpy import array
+        from numpy.random import SeedSequence, default_rng
+
         # zlib.crc32 (not hash()) keeps the per-benchmark stream offset
         # stable across processes; Python string hashing is randomised.
         name_key = zlib.crc32(self.spec.name.encode("utf-8")) & 0xFFFF
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed,
-                                   spawn_key=(name_key,)))
+        rng = default_rng(SeedSequence(entropy=self.seed,
+                                       spawn_key=(name_key,)))
         # The mix distribution is constant across warps; build it once.
-        probs = np.array([self.spec.mix.get(cls, 0.0)
-                          for cls in ALL_OP_CLASSES], dtype=float)
+        probs = array([self.spec.mix.get(cls, 0.0)
+                       for cls in ALL_OP_CLASSES], dtype=float)
         probs = probs / probs.sum()
         warps = [self._generate_warp(warp_id, rng, probs)
                  for warp_id in range(self.spec.n_warps)]

@@ -68,8 +68,8 @@ update at all: they accumulate busy/idle *spans* between absolute
 cycle marks, so a skipped stretch lands in the right period when the
 next issue — or the end-of-run flush — integrates it.)  The only
 serial/fast-forward divergence is *internal* scoreboard garbage
-(completed producers are dropped at the next executed writeback
-instead of every cycle), which is unobservable: a producer whose ready
+(the dense kernel never drops completed producers, which the serial
+path drops every cycle), which is unobservable: a producer whose ready
 cycle has passed blocks nothing and classifies as nothing.
 
 Planning costs O(gated domains + hooks) on top of the kernel's O(1)

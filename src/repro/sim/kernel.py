@@ -43,8 +43,12 @@ conditions, which are complete by construction:
 * fetch appends move ``fetch_pc`` and the buffer length together, so a
   non-empty head row stays valid under fetch — only empty→non-empty
   transitions (tracked in ``_empty``) need a first classification;
-* ``release_completed`` never bumps the version and is unobservable by
-  design (a completed producer blocks nothing), so rows survive it;
+* the kernel never calls ``release_completed``: a completed producer
+  blocks nothing and classifies as nothing (the scoreboard's own
+  contract — every readiness predicate compares the cycle against the
+  producer's ready cycle), so dropping it is unobservable and the
+  per-resident-warp scan each writeback would be pure overhead.  A
+  later issue to the same register overwrites the stale entry;
 * residency changes always replace the ``sm._resident`` list object,
   so one identity check per cycle detects them and triggers a full
   resync;
@@ -111,7 +115,7 @@ class DenseStepKernel:
         #: forwarder over each span it skips): a window entered there
         #: needs no resync, because nothing has executed since.
         self._resume = -1
-        n_slots = len(sm.warps)
+        n_slots = self._n_slots = len(sm.warps)
         #: Resident slots whose I-buffer is empty with trace left to
         #: fetch: the only slots a fetch tick can flip NO_HEAD → KNOWN.
         self._empty: Set[int] = set()
@@ -131,6 +135,9 @@ class DenseStepKernel:
         #: Pending slots whose head waits on an unresolved load.
         self._n_unres = 0
         self._actv4: List[int] = [0, 0, 0, 0]
+        #: Set whenever ``_actv4`` changes; stage 4 copies it into the
+        #: scheduler view's ACTV dict only then.
+        self._actv_changed = True
         #: Ready slots ascending, overall and per op-class index: the
         #: rotations below slice these instead of sorting per cycle.
         self._ready_all: List[int] = []
@@ -256,6 +263,7 @@ class DenseStepKernel:
         self._n_pending = 0
         self._n_unres = 0
         self._actv4 = [0, 0, 0, 0]
+        self._actv_changed = True
         self._ready_all = []
         self._ready_cls = [[], [], [], []]
         if self._mode is None:
@@ -322,6 +330,7 @@ class DenseStepKernel:
             return
         self._n_active += 1
         self._actv4[opx] += 1
+        self._actv_changed = True
         if self._active_all is not None:
             insort(self._active_all, slot)
         ready_at = warp.head_ready_at
@@ -340,6 +349,7 @@ class DenseStepKernel:
             self._n_active -= 1
             opx = self._opx[slot]
             self._actv4[opx] -= 1
+            self._actv_changed = True
             if self._active_all is not None:
                 self._active_all.remove(slot)
             if cat == CAT_READY:
@@ -390,9 +400,13 @@ class DenseStepKernel:
         self._writeback(cycle)
 
         # stage 2: warp management; any residency change replaces the
-        # _resident list object, which forces a full resync.
+        # _resident list object, which forces a full resync.  With no
+        # warp that may have finished and no launch possible (nothing
+        # queued, or no free slot) the call would do nothing.
         resident_before = sm._resident
-        sm._manage_warps(cycle)
+        if sm._finish_check or (sm.launcher.remaining
+                                and len(resident_before) < self._n_slots):
+            sm._manage_warps(cycle)
         if sm._resident is not resident_before:
             self._sync_all(cycle)
         elif self._dirty:
@@ -417,11 +431,13 @@ class DenseStepKernel:
         if heap and heap[0][0] <= cycle:
             self._transitions(cycle)
         view = sm._view
-        actv = view.actv_counts
-        actv4 = self._actv4
-        for index, cls in enumerate(ALL_OP_CLASSES):
-            actv[cls] = actv4[index]
-        sm.actv_counts = actv
+        if self._actv_changed:
+            self._actv_changed = False
+            actv = view.actv_counts
+            actv4 = self._actv4
+            for index, cls in enumerate(ALL_OP_CLASSES):
+                actv[cls] = actv4[index]
+            sm.actv_counts = actv
         if sm._has_blackout:
             blackout = view.type_in_blackout
             for cls in _CUDA_OP_CLASSES:
@@ -482,8 +498,9 @@ class DenseStepKernel:
 
         A slot's classification goes stale during writeback exactly
         when its scoreboard version bumps, i.e. when ``resolve_memory``
-        ran — a successful non-store access.  Retires and releases
-        touch no stamped state.
+        ran — a successful non-store access.  Retires touch no stamped
+        state.  Unlike ``SM._writeback`` the kernel never scans for
+        completed producers (see the module docstring).
         """
         sm = self.sm
         dirty = self._dirty
@@ -512,10 +529,6 @@ class DenseStepKernel:
                 elif not inst.is_store:
                     dirty.add(slot)
             sm._retry = still_waiting
-        for warp in sm._resident:
-            scoreboard = warp.scoreboard
-            if cycle >= scoreboard._next_release:
-                scoreboard.release_completed(cycle)
 
     def _order(self, cycle: int, view) -> Optional[List[int]]:
         """The scheduler's issue order for this cycle, as slot indices.

@@ -14,16 +14,18 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 from repro.isa.instructions import Instruction
 from repro.isa.optypes import OpClass
 from repro.obs.bus import NULL_BUS, EventBus
 
 
-@dataclass(frozen=True)
-class IssueCandidate:
+class IssueCandidate(NamedTuple):
     """One active-set entry as seen by the issue stage.
+
+    A named tuple rather than a frozen dataclass: one is built on every
+    head refresh, and tuple construction is about three times cheaper.
 
     Attributes:
         slot: Resident warp slot index.

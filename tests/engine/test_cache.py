@@ -4,7 +4,9 @@ import logging
 import os
 import pickle
 
+import pytest
 
+from repro.engine import jobs
 from repro.engine.cache import RunCache
 from repro.obs.telemetry import (
     CacheEvicted,
@@ -18,6 +20,7 @@ from repro.engine.jobs import (
     load_or_build_kernel,
     trace_cache_key,
 )
+from repro.isa.tracegen import TraceGenerator
 
 from tests.engine.faults import corrupt_cache_entry, plant_stale_tmp
 
@@ -247,14 +250,37 @@ class TestCacheTelemetry:
         assert cache.listener is None  # zero-cost: one None check
 
 
+@pytest.fixture
+def fresh_trace_memo(monkeypatch):
+    """Start with an empty per-process trace memo."""
+    monkeypatch.setattr(jobs, "_last_trace", None)
+
+
+def _count_generations(monkeypatch):
+    """Count TraceGenerator.generate calls (still generating)."""
+    calls = []
+    generate = TraceGenerator.generate
+
+    def counting(self):
+        calls.append(self.spec.name)
+        return generate(self)
+
+    monkeypatch.setattr(TraceGenerator, "generate", counting)
+    return calls
+
+
+@pytest.mark.usefixtures("fresh_trace_memo")
 class TestTraceMemoisation:
-    def test_trace_round_trip(self, tmp_path):
+    def test_trace_round_trip(self, tmp_path, monkeypatch):
         cache = RunCache(tmp_path)
         first = load_or_build_kernel("hotspot", 0, 0.2, cache=cache)
         assert cache.path("traces",
                           trace_cache_key("hotspot", 0, 0.2)).exists()
+        # Forget the memoised trace so the second call reads the disk.
+        monkeypatch.setattr(jobs, "_last_trace", None)
         second = load_or_build_kernel("hotspot", 0, 0.2, cache=cache)
         assert cache.hits == 1
+        assert second is not first
         assert second.n_warps == first.n_warps
         assert second.total_instructions == first.total_instructions
         assert pickle.dumps(second) == pickle.dumps(first)
@@ -268,6 +294,72 @@ class TestTraceMemoisation:
     def test_no_cache_builds_directly(self):
         kernel = load_or_build_kernel("hotspot", 0, 0.2, cache=None)
         assert kernel.n_warps > 0
+
+    def test_repeat_call_is_served_from_memo(self, tmp_path):
+        cache = RunCache(tmp_path)
+        first = load_or_build_kernel("hotspot", 0, 0.2, cache=cache)
+        gets = cache.hits + cache.misses
+        again = load_or_build_kernel("hotspot", 0, 0.2, cache=cache)
+        assert again is first
+        assert cache.hits + cache.misses == gets  # zero disk reads
+        # A second handle on the same directory shares the memo too.
+        other = RunCache(tmp_path)
+        assert load_or_build_kernel("hotspot", 0, 0.2,
+                                    cache=other) is first
+        assert other.hits + other.misses == 0
+
+    def test_cacheless_repeat_generates_once(self, monkeypatch):
+        calls = _count_generations(monkeypatch)
+        first = load_or_build_kernel("hotspot", 0, 0.2, cache=None)
+        again = load_or_build_kernel("hotspot", 0, 0.2, cache=None)
+        assert calls == ["hotspot"]
+        assert again is first
+
+    @pytest.mark.parametrize("name, seed, scale", [
+        ("bfs", 0, 0.2),
+        ("hotspot", 1, 0.2),
+        ("hotspot", 0, 0.25),
+    ])
+    def test_other_trace_is_not_served_from_memo(self, monkeypatch,
+                                                 name, seed, scale):
+        first = load_or_build_kernel("hotspot", 0, 0.2, cache=None)
+        calls = _count_generations(monkeypatch)
+        other = load_or_build_kernel(name, seed, scale, cache=None)
+        assert calls == [name]
+        assert other is not first
+        assert other.name == name
+
+    def test_other_cache_directory_gets_its_trace_written(self, tmp_path):
+        first_cache = RunCache(tmp_path / "a")
+        second_cache = RunCache(tmp_path / "b")
+        first = load_or_build_kernel("hotspot", 0, 0.2, cache=first_cache)
+        second = load_or_build_kernel("hotspot", 0, 0.2,
+                                      cache=second_cache)
+        key = trace_cache_key("hotspot", 0, 0.2)
+        assert second_cache.misses == 1
+        assert second_cache.path("traces", key).exists()
+        assert pickle.dumps(second) == pickle.dumps(first)
+
+    def test_cacheless_memo_does_not_serve_a_cache(self, tmp_path):
+        load_or_build_kernel("hotspot", 0, 0.2, cache=None)
+        cache = RunCache(tmp_path)
+        load_or_build_kernel("hotspot", 0, 0.2, cache=cache)
+        assert cache.path("traces",
+                          trace_cache_key("hotspot", 0, 0.2)).exists()
+
+    def test_corrupt_entry_regenerates(self, tmp_path, monkeypatch):
+        cache = RunCache(tmp_path)
+        first = load_or_build_kernel("hotspot", 0, 0.2, cache=cache)
+        key = trace_cache_key("hotspot", 0, 0.2)
+        corrupt_cache_entry(cache, "traces", key, mode="flip")
+        monkeypatch.setattr(jobs, "_last_trace", None)
+        calls = _count_generations(monkeypatch)
+        redo = load_or_build_kernel("hotspot", 0, 0.2, cache=cache)
+        assert cache.corrupt_misses == 1
+        assert calls == ["hotspot"]
+        assert pickle.dumps(redo) == pickle.dumps(first)
+        # The regenerated trace was written back over the damaged entry.
+        assert RunCache(tmp_path).get("traces", key) is not None
 
 
 class TestResultCache:

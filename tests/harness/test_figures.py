@@ -4,9 +4,14 @@ import math
 
 import pytest
 
+from repro.engine import jobs
+from repro.engine.pool import ParallelEngine
 from repro.harness import figures
 from repro.harness.experiment import ExperimentRunner, ExperimentSettings
 from repro.isa.optypes import ExecUnitKind
+from repro.isa.tracegen import TraceGenerator
+from repro.workloads import registry
+from repro.workloads.characterization import instruction_mix_table
 
 from tests.conftest import TEST_SCALE
 
@@ -63,12 +68,49 @@ class TestFig3:
         assert sum(f for _, f in series) == pytest.approx(1.0, abs=1e-9)
 
 
+def _mix_table_rows(settings: ExperimentSettings) -> list:
+    """Figure 5a's rows, built from ``instruction_mix_table``."""
+    return [[entry["benchmark"], entry["int"], entry["fp"], entry["sfu"],
+             entry["ldst"]]
+            for entry in instruction_mix_table(settings.benchmarks,
+                                               seed=settings.seed,
+                                               scale=settings.scale)]
+
+
 class TestFig5:
     def test_mix_rows(self, runner):
         rows = figures.fig5a_rows(runner)
         assert len(rows) == 3
         for row in rows:
             assert row[1] + row[2] + row[3] + row[4] == pytest.approx(1.0)
+
+    def test_mix_rows_equal_instruction_mix_table(self, runner):
+        assert figures.fig5a_rows(runner) == \
+            _mix_table_rows(runner.settings)
+
+    def test_mix_rows_read_the_engine_cache(self, tmp_path, monkeypatch):
+        settings = ExperimentSettings(scale=TEST_SCALE,
+                                      benchmarks=("hotspot", "nw"))
+        engine = ParallelEngine(cache_dir=str(tmp_path), ledger=False)
+        cached = ExperimentRunner(settings, engine=engine)
+        cached.prefetch([(name, "baseline")
+                         for name in settings.benchmarks])
+        expected = _mix_table_rows(settings)
+        # Nothing in this process may hold a trace to serve the rows.
+        monkeypatch.setattr(jobs, "_last_trace", None)
+        monkeypatch.setattr(figures, "_MIX_BY_TRACE", {})
+        registry._generate_cached.cache_clear()
+
+        def no_generation(generator):
+            raise AssertionError(f"generated {generator.spec.name}")
+
+        monkeypatch.setattr(TraceGenerator, "generate", no_generation)
+        rows = figures.fig5a_rows(cached)
+        assert rows == expected
+        # A rebuild in the same process reads no trace at all.
+        monkeypatch.setattr(jobs, "load_or_build_kernel", None)
+        monkeypatch.setattr(figures, "load_or_build_kernel", None)
+        assert figures.fig5a_rows(cached) == rows
 
     def test_active_warp_rows_sorted(self, runner):
         rows = figures.fig5b_rows(runner)

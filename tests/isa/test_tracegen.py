@@ -1,5 +1,10 @@
 """Tests for the synthetic trace generator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.isa.optypes import OpClass
@@ -21,6 +26,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="sum to 1"):
             spec(mix={OpClass.INT: 0.5, OpClass.FP: 0.2,
                       OpClass.SFU: 0.0, OpClass.LDST: 0.0})
+
+    def test_mix_tolerance_is_isclose(self):
+        # np.isclose(total, 1.0, atol=1e-6): |total - 1| <= 1e-6 + 1e-5.
+        spec(mix={OpClass.INT: 0.5 + 1.05e-5, OpClass.FP: 0.3,
+                  OpClass.SFU: 0.05, OpClass.LDST: 0.15})
+        with pytest.raises(ValueError, match="sum to 1"):
+            spec(mix={OpClass.INT: 0.5 + 1.15e-5, OpClass.FP: 0.3,
+                      OpClass.SFU: 0.05, OpClass.LDST: 0.15})
+        with pytest.raises(ValueError, match="sum to 1"):
+            spec(mix={OpClass.INT: float("nan"), OpClass.FP: 0.3,
+                      OpClass.SFU: 0.05, OpClass.LDST: 0.15})
 
     def test_negative_mix_rejected(self):
         with pytest.raises(ValueError):
@@ -125,3 +141,41 @@ class TestGeneration:
             dependent_sources += sum(1 for r in inst.srcs if r in written)
             written.update(inst.registers_written())
         assert dependent_sources > 10  # plenty of real RAW edges
+
+
+def _run_python(code: str) -> str:
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+class TestLazyNumpy:
+    """numpy loads only when a trace is generated."""
+
+    def test_imports_do_not_load_numpy(self):
+        out = _run_python(
+            "import sys\n"
+            "import repro, repro.harness.artifact, repro.sim.gpu\n"
+            "import repro.workloads.registry\n"
+            "print('numpy' in sys.modules)\n")
+        assert out == "False"
+
+    def test_generation_loads_numpy_and_keeps_the_trace(self):
+        # The digests pin the pickled traces as they were generated
+        # while numpy was still imported at module load.
+        out = _run_python(
+            "import hashlib, pickle, sys\n"
+            "from repro.workloads.registry import build_kernel\n"
+            "digests = [hashlib.sha256(pickle.dumps(\n"
+            "    build_kernel(name, seed=seed, scale=0.25),\n"
+            "    protocol=4)).hexdigest()\n"
+            "    for name, seed in (('sgemm', 3), ('backprop', 0))]\n"
+            "print('numpy' in sys.modules, *digests)\n")
+        assert out.split() == [
+            "True",
+            "dfd937092a6831247e2bdc127cff8eb50cf3c97112a4b55016250b395d294dbd",
+            "ff8a641a919863166e48bae3de417f684c3da2367bc218ddd64e8b76926cc348",
+        ]

@@ -2,14 +2,18 @@
 
 The Figure 5a reproduction is only as good as the generator's fidelity
 to the per-benchmark mixes; this parametrised check covers all 18
-benchmarks (trace generation only — no simulation — so it stays fast).
+benchmarks.  All but the last check are trace generation only, so they
+stay fast; the last simulates each benchmark once at test scale.
 """
 
 import pytest
 
+from repro.core.techniques import build_sm
 from repro.isa.optypes import ALL_OP_CLASSES
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import BENCHMARK_NAMES, get_profile
+
+from tests.conftest import TEST_SCALE
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
@@ -42,3 +46,14 @@ def test_divergence_masks_legal(name):
     profile = get_profile(name)
     if profile.spec.branch_prob == 0.0:
         assert all(n == 32 for n in lanes)
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_baseline_issues_exactly_the_trace_mix(name):
+    # Figure 5a reports the traces' static mix as the benchmarks' mix;
+    # that holds because every trace instruction issues exactly once.
+    kernel = build_kernel(name, scale=TEST_SCALE)
+    sm = build_sm(kernel, "baseline",
+                  dram_latency=get_profile(name).dram_latency,
+                  fast_forward=True)
+    assert sm.run().stats.issued_by_class == kernel.op_class_counts()
