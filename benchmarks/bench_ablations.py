@@ -53,9 +53,8 @@ def regenerate(runner):
     return rows
 
 
-def test_ablations(benchmark, sweep_runner):
-    rows = benchmark.pedantic(regenerate, args=(sweep_runner,),
-                              rounds=1, iterations=1)
+def test_ablations(sweep_runner):
+    rows = regenerate(sweep_runner)
     text = format_table(("technique", "int_savings", "fp_savings",
                          "geomean_perf"), rows,
                         title="Ablations: isolating each mechanism")

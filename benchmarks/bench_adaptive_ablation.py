@@ -42,9 +42,8 @@ def regenerate(runner):
     return rows
 
 
-def test_adaptive_bound_ablation(benchmark, sweep_runner):
-    rows = benchmark.pedantic(regenerate, args=(sweep_runner,),
-                              rounds=1, iterations=1)
+def test_adaptive_bound_ablation(sweep_runner):
+    rows = regenerate(sweep_runner)
     text = format_table(("config", "int_savings", "geomean_perf",
                          "max_final_window"), rows,
                         title="Adaptive idle-detect: bounded vs "

@@ -48,9 +48,8 @@ def regenerate(figure_scale):
     return rows
 
 
-def test_cluster_scaling(benchmark, figure_scale):
-    rows = benchmark.pedantic(regenerate, args=(figure_scale,),
-                              rounds=1, iterations=1)
+def test_cluster_scaling(figure_scale):
+    rows = regenerate(figure_scale)
     text = format_table(
         ("sp_clusters", "issue_width", "int_savings", "mean_perf"),
         rows, title="Coordinated Blackout vs SP cluster count")

@@ -34,8 +34,8 @@ def regenerate():
     return charts
 
 
-def test_fig04_schedule_illustration(benchmark):
-    charts = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+def test_fig04_schedule_illustration():
+    charts = regenerate()
     lines = []
     for technique, strips in charts.items():
         lines.append(f"{technique}:")

@@ -23,9 +23,8 @@ def by_cell(points):
     return {(p.value, p.technique): p for p in points}
 
 
-def test_fig11a_bet_sensitivity(benchmark, sweep_runner):
-    points = benchmark.pedantic(bet_sweep, args=(sweep_runner,),
-                                rounds=1, iterations=1)
+def test_fig11a_bet_sensitivity(sweep_runner):
+    points = bet_sweep(sweep_runner)
     text = format_table(SWEEP_HEADERS, sweep_rows(points),
                         title="Figure 11a: break-even time sensitivity")
     print_figure("FIG 11a", text + "\n\npaper: at BET 19, conv saves "
@@ -45,9 +44,8 @@ def test_fig11a_bet_sensitivity(benchmark, sweep_runner):
     assert gap[19] > gap[9]
 
 
-def test_fig11b_wakeup_sensitivity(benchmark, sweep_runner):
-    points = benchmark.pedantic(wakeup_sweep, args=(sweep_runner,),
-                                rounds=1, iterations=1)
+def test_fig11b_wakeup_sensitivity(sweep_runner):
+    points = wakeup_sweep(sweep_runner)
     text = format_table(SWEEP_HEADERS, sweep_rows(points),
                         title="Figure 11b: wakeup delay sensitivity")
     print_figure("FIG 11b", text + "\n\npaper: at 9-cycle wakeup, conv "

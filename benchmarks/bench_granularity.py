@@ -37,9 +37,8 @@ def regenerate(runner):
     return rows
 
 
-def test_granularity_comparison(benchmark, runner):
-    rows = benchmark.pedantic(regenerate, args=(runner,),
-                              rounds=1, iterations=1)
+def test_granularity_comparison(runner):
+    rows = regenerate(runner)
     text = format_table(
         ("benchmark", "sm_idle_frac", "sm_savings",
          "unit_idle_frac", "unit_savings"), rows,
@@ -91,10 +90,8 @@ def regenerate_with_gaps(figure_scale):
     return rows
 
 
-def test_granularity_with_kernel_gaps(benchmark, figure_scale):
-    rows = benchmark.pedantic(regenerate_with_gaps,
-                              args=(figure_scale,),
-                              rounds=1, iterations=1)
+def test_granularity_with_kernel_gaps(figure_scale):
+    rows = regenerate_with_gaps(figure_scale)
     text = format_table(
         ("gap_cycles", "total_cycles", "sm_savings", "unit_savings"),
         rows, title="Granularity vs inter-kernel gaps "

@@ -27,9 +27,8 @@ def regenerate(figure_scale):
     return replicate(settings, seeds=SEEDS)
 
 
-def test_replicated_headline(benchmark, figure_scale):
-    results = benchmark.pedantic(regenerate, args=(figure_scale,),
-                                 rounds=1, iterations=1)
+def test_replicated_headline(figure_scale):
+    results = regenerate(figure_scale)
     rows = replication_rows(results)
     text = format_table(REPLICATION_HEADERS, rows,
                         title=f"Headline metrics over {len(SEEDS)} "

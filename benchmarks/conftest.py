@@ -1,18 +1,18 @@
-"""Shared fixtures for the figure-regeneration benchmarks.
+"""Shared fixtures for the experiment benches.
 
-Every ``bench_fig*.py`` file regenerates one of the paper's tables or
-figures: it runs the experiment grid, prints the same rows/series the
-paper reports (next to the paper's values where the paper states them),
-and records the regeneration time via pytest-benchmark.
+Each ``bench_*.py`` file runs one experiment that the paper artifact
+(``repro figures``) does not regenerate — the Figure 4 illustration,
+the Figure 11 sweeps, the ablations, cluster scaling, granularity,
+replication and the device-level table — prints its rows and asserts
+the shape the paper (or DESIGN.md) argues for.
 
-Simulation results are memoised in a session-scoped runner, so the grid
-is built incrementally across benches: the first figure touching a
-(benchmark, technique) cell pays for its simulation, later figures reuse
-it.  Timings therefore measure *incremental* regeneration work.
+Simulation results are memoised in session-scoped runners, so a
+(benchmark, technique) cell is simulated once however many benches
+read it.
 
-The default scale (0.5) keeps the full bench suite to a few minutes
+The default scale (0.5) keeps the whole suite to well under a minute
 while preserving every qualitative result; pass ``--figure-scale=1.0``
-for full-fidelity runs (as recorded in EXPERIMENTS.md).
+for full-fidelity runs.
 """
 
 import pytest
@@ -23,20 +23,12 @@ from repro.harness.experiment import ExperimentRunner, ExperimentSettings
 def pytest_addoption(parser):
     parser.addoption("--figure-scale", action="store", type=float,
                      default=0.5,
-                     help="workload scale for figure regeneration")
-    parser.addoption("--engine-jobs", action="store", type=int,
-                     default=2,
-                     help="worker processes for the engine benchmark")
+                     help="workload scale for the experiment benches")
 
 
 @pytest.fixture(scope="session")
 def figure_scale(request) -> float:
     return request.config.getoption("--figure-scale")
-
-
-@pytest.fixture(scope="session")
-def engine_jobs(request) -> int:
-    return request.config.getoption("--engine-jobs")
 
 
 @pytest.fixture(scope="session")
@@ -47,9 +39,9 @@ def runner(figure_scale) -> ExperimentRunner:
 
 @pytest.fixture(scope="session")
 def sweep_runner(figure_scale) -> ExperimentRunner:
-    """Smaller-suite runner for the parameter sweeps (Figs. 6 and 11).
+    """Smaller-suite runner for the sweeps and ablations.
 
-    The sweeps multiply the grid by up to 11 parameter values, so they
+    The sweeps multiply the grid by several parameter values, so they
     run on a representative 6-benchmark subset covering compute-bound
     (sgemm, cutcp), balanced (hotspot, srad) and memory-bound (bfs, mri)
     behaviour.

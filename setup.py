@@ -1,51 +1,10 @@
-"""Build shim: optional mypyc compilation of the dense-kernel modules.
+"""Build shim: all metadata lives in pyproject.toml.
 
-All real metadata lives in pyproject.toml.  This file does two jobs:
-
-* enables ``pip install -e . --no-use-pep517`` on offline machines
-  (the legacy role), and
-* when **both** opt-ins are present — ``REPRO_MYPYC=1`` in the build
-  environment *and* mypyc importable (``pip install -e .[compiled]``
-  brings it in) — compiles the dense-step kernel's hot pure-Python
-  modules ahead of time with mypyc.
-
-The compiled build is an accelerator, never a requirement: any
-failure (mypyc missing, compilation error, unsupported platform)
-falls back to the pure-Python build, and the golden identity suite
-pins both flavours bit-identical.  Use ``--no-build-isolation`` when
-building with ``REPRO_MYPYC=1`` so the already-installed mypy is
-visible to this script.
+Kept so ``python setup.py develop`` and ``pip install -e .
+--no-use-pep517`` work on offline machines without the ``wheel``
+package.
 """
-
-import os
 
 from setuptools import setup
 
-#: Modules worth compiling: the per-cycle dense engine and the
-#: scoreboard it calls into on every refresh.  Deliberately small —
-#: most of the simulator is glue where compilation buys nothing.
-MYPYC_MODULES = [
-    "src/repro/sim/kernel.py",
-    "src/repro/sim/scoreboard.py",
-]
-
-
-def _ext_modules():
-    if os.environ.get("REPRO_MYPYC") != "1":
-        return []
-    try:
-        from mypyc.build import mypycify
-    except ImportError:
-        print("REPRO_MYPYC=1 but mypyc is not importable; "
-              "building pure Python (install the [compiled] extra "
-              "and use --no-build-isolation)")
-        return []
-    try:
-        return mypycify(MYPYC_MODULES)
-    except Exception as exc:  # pragma: no cover - toolchain-dependent
-        print(f"mypyc compilation failed ({exc!r}); "
-              "building pure Python")
-        return []
-
-
-setup(ext_modules=_ext_modules())
+setup()

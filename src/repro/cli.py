@@ -5,13 +5,11 @@ Commands:
 * ``list``          — benchmarks and techniques available.
 * ``run``           — run one benchmark under one technique, print the
   headline metrics.
-* ``figure``        — regenerate one of the paper's figures (prints the
-  rows; ``--csv`` / ``--json`` export them).
-* ``figures``       — regenerate the *whole* paper artifact into one
-  directory per figure (data + summary + plot stub + provenance
-  manifest) and, under ``--check``, compare every measured headline
-  against the paper's tolerance bands (exit 3 when out of band).
-* ``characterize``  — the Figure 5 workload-characterisation tables.
+* ``figures``       — regenerate the paper artifact into one directory
+  per figure (data + summary + plot stub + provenance manifest;
+  ``--figures NAME[,NAME...]`` picks a subset) and, under ``--check``,
+  compare every measured headline against the paper's tolerance bands
+  (exit 3 when out of band).
 * ``sweep``         — Figure 11 parameter sweeps (``bet`` / ``wakeup``).
 * ``runs``          — query past engine batches from the run ledger
   (``list`` / ``show <run>``).
@@ -48,13 +46,11 @@ from repro.core.spec import (
 )
 from repro.core.techniques import BASELINE_AND_PAPER_TECHNIQUES
 from repro.engine.faults import JobFailedError, last_error_line
-from repro.harness import figures
 from repro.harness.experiment import (
     ExperimentRunner,
     ExperimentSettings,
     normalized_performance,
 )
-from repro.harness.export import rows_to_csv, rows_to_json
 from repro.harness.sweeps import (
     SWEEP_HEADERS,
     bet_sweep,
@@ -143,13 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "under --jobs are aggregated into one "
                               "pstats report")
 
-    fig_cmd = sub.add_parser("figure", help="regenerate a paper figure")
-    fig_cmd.add_argument("name", choices=sorted(FIGURES))
-    fig_cmd.add_argument("--csv", metavar="PATH",
-                         help="also write the rows as CSV")
-    fig_cmd.add_argument("--json", metavar="PATH",
-                         help="also write the rows as JSON")
-
     figs_cmd = sub.add_parser(
         "figures",
         help="regenerate the full paper artifact (one directory per "
@@ -169,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="compare measured headlines against the "
                                "paper's tolerance bands; exit 3 if any "
                                "metric is out of band (FAIL)")
-
-    sub.add_parser("characterize", help="Figure 5 tables")
 
     sweep_cmd = sub.add_parser("sweep", help="Figure 11 sweeps")
     sweep_cmd.add_argument("axis", choices=["bet", "wakeup"])
@@ -628,22 +615,6 @@ def _run_device(args: argparse.Namespace, spec) -> int:
     return 0
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
-    """Regenerate one paper figure; optionally export CSV/JSON."""
-    figure = FIGURES[args.name]
-    runner = _runner(args)
-    rows = figure.build(runner)
-    print(format_table(figure.headers, rows, title=args.name))
-    if args.csv:
-        rows_to_csv(figure.headers, rows, path=args.csv)
-        print(f"wrote {args.csv}")
-    if args.json:
-        rows_to_json(figure.headers, rows, path=args.json,
-                     figure=args.name)
-        print(f"wrote {args.json}")
-    return _failure_exit(runner.manifests)
-
-
 def _parse_comma_list(raw: Optional[str]) -> Optional[Tuple[str, ...]]:
     if raw is None:
         return None
@@ -698,17 +669,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
     if args.check and report.verdict == "FAIL":
         return 3
     return code
-
-
-def cmd_characterize(args: argparse.Namespace) -> int:
-    """Print the Figure 5 workload-characterisation tables."""
-    runner = _runner(args)
-    print(format_table(figures.FIG5A_HEADERS, figures.fig5a_rows(runner),
-                       title="Figure 5a: instruction mix"))
-    print()
-    print(format_table(figures.FIG5B_HEADERS, figures.fig5b_rows(runner),
-                       title="Figure 5b: active warps"))
-    return _failure_exit(runner.manifests)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -870,9 +830,7 @@ def cmd_spec(args: argparse.Namespace) -> int:
 COMMANDS = {
     "list": cmd_list,
     "run": cmd_run,
-    "figure": cmd_figure,
     "figures": cmd_figures,
-    "characterize": cmd_characterize,
     "sweep": cmd_sweep,
     "trace": cmd_trace,
     "energy": cmd_energy,

@@ -4,8 +4,8 @@
   normalised metrics every figure consumes (savings, performance,
   wakeups, compensated residency).
 * :mod:`repro.harness.figures` -- one builder per paper figure,
-  returning printable rows/series (used by ``benchmarks/`` and the
-  examples).
+  returning printable rows/series (used by the artifact pipeline and
+  the examples).
 * :mod:`repro.harness.sweeps` -- parameter sweeps: idle-detect (Fig. 6),
   break-even time and wakeup delay (Fig. 11).
 * :mod:`repro.harness.artifact` -- the one-command paper-artifact

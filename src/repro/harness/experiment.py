@@ -44,7 +44,7 @@ class ExperimentSettings:
     Attributes:
         seed: Trace-generation seed (identical across techniques).
         scale: Workload scale factor; 1.0 reproduces the full models,
-            smaller values keep unit tests and pytest-benchmark runs
+            smaller values keep unit tests and the experiment benches
             fast while preserving workload character.
         gating: Power-gating parameters (idle-detect 5 / BET 14 /
             wakeup 3 by default, the paper's configuration).

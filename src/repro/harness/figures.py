@@ -1,8 +1,9 @@
 """One builder per paper figure.
 
 Each function returns printable rows (lists matching a header tuple) or
-series so that ``benchmarks/`` targets and examples can render exactly
-the rows/series the paper's figure reports.  All builders take an
+series so that the artifact pipeline (:mod:`repro.harness.artifact`)
+and the examples can render exactly the rows/series the paper's figure
+reports.  All builders take an
 :class:`repro.harness.experiment.ExperimentRunner`, so results are
 shared across figures through its cache.
 """

@@ -67,9 +67,6 @@ event publishes are faithful transcriptions of ``SM._step``'s stages:
 a kernel-stepped window is bit-identical to the same cycles stepped
 serially, and the golden identity harness pins that for every
 technique.
-
-This module (and the scoreboard it leans on) is also a target of the
-optional mypyc build (``pip install -e .[compiled]``).
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The registry turns :class:`repro.workloads.specs.BenchmarkProfile` entries
 into concrete :class:`repro.isa.KernelTrace` objects.  A ``scale`` knob
 shrinks workloads proportionally (fewer warps, shorter traces) so unit
-tests and pytest-benchmark runs stay fast while full-fidelity experiments
-use ``scale=1.0``.
+tests and the experiment benches stay fast while full-fidelity
+experiments use ``scale=1.0``.
 """
 
 from __future__ import annotations

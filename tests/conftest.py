@@ -55,3 +55,10 @@ def small_runner() -> ExperimentRunner:
     settings = ExperimentSettings(
         scale=TEST_SCALE, benchmarks=("hotspot", "bfs", "sgemm"))
     return ExperimentRunner(settings)
+
+
+def pytest_addoption(parser):
+    parser.addoption("--artifact-dir", action="store", default=None,
+                     metavar="DIR",
+                     help="a full-scale `repro figures` output directory "
+                          "for tests/harness/test_paper_shapes.py")

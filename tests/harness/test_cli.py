@@ -33,17 +33,17 @@ class TestParser:
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
-            main(["--benchmarks", "hotspto", "characterize"])
+            main(["--benchmarks", "hotspto", "sweep", "bet"])
 
     def test_unknown_benchmark_suggests_closest(self):
         with pytest.raises(SystemExit) as err:
-            main(["--benchmarks", "hotspto", "characterize"])
+            main(["--benchmarks", "hotspto", "sweep", "bet"])
         assert "unknown benchmark 'hotspto'" in str(err.value)
         assert "hotspot" in str(err.value)
 
     def test_duplicate_benchmark_rejected(self):
         with pytest.raises(SystemExit) as err:
-            main(["--benchmarks", "hotspot,hotspot", "characterize"])
+            main(["--benchmarks", "hotspot,hotspot", "sweep", "bet"])
         assert "duplicate benchmark 'hotspot'" in str(err.value)
 
     def test_run_needs_technique_or_spec(self, capsys):
@@ -53,8 +53,8 @@ class TestParser:
             main(["run", "hotspot", "baseline", "--spec", "x.json"])
 
     def test_figure_choices_cover_registry(self):
-        args = build_parser().parse_args(["figure", "fig10"])
-        assert args.name == "fig10"
+        args = build_parser().parse_args(["figures", "--figures", "fig10"])
+        assert args.figure_subset == "fig10"
         assert set(FIGURES) >= {"fig1b", "fig3", "fig5a", "fig5b",
                                 "fig8a", "fig8b", "fig8c",
                                 "fig9a", "fig9b", "fig10", "sec75"}
@@ -103,28 +103,32 @@ class TestCommands:
         assert "normalized_performance" in out
 
     def test_figure_with_exports(self, capsys, tmp_path):
-        csv_path = tmp_path / "f.csv"
-        json_path = tmp_path / "f.json"
+        out_dir = tmp_path / "results"
         code = main(["--scale", "0.2", "--benchmarks", "hotspot,nw",
-                     "figure", "fig9a",
-                     "--csv", str(csv_path), "--json", str(json_path)])
+                     "figures", "--out", str(out_dir),
+                     "--figures", "fig9a", "--format", "csv,json"])
         assert code == 0
-        assert csv_path.exists() and json_path.exists()
-        document = json.loads(json_path.read_text())
+        assert (out_dir / "fig9a" / "data.csv").exists()
+        document = json.loads((out_dir / "fig9a" / "data.json").read_text())
         assert document["figure"] == "fig9a"
         names = [r["benchmark"] for r in document["records"]]
         assert names == ["hotspot", "nw", "average"]
 
-    def test_sec75_figure_needs_no_simulation(self, capsys):
-        assert main(["figure", "sec75"]) == 0
-        assert "area_pct" in capsys.readouterr().out
+    def test_sec75_figure_needs_no_simulation(self, capsys, tmp_path):
+        out_dir = tmp_path / "results"
+        assert main(["figures", "--out", str(out_dir),
+                     "--figures", "sec75"]) == 0
+        assert "area_pct" in (out_dir / "sec75" / "summary.md").read_text()
 
-    def test_characterize(self, capsys):
+    def test_fig5_figures(self, capsys, tmp_path):
+        out_dir = tmp_path / "results"
         code = main(["--scale", "0.2", "--benchmarks", "hotspot",
-                     "characterize"])
+                     "figures", "--out", str(out_dir),
+                     "--figures", "fig5a,fig5b"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "Figure 5a" in out and "Figure 5b" in out
+        for name in ("fig5a", "fig5b"):
+            summary = (out_dir / name / "summary.md").read_text()
+            assert "hotspot" in summary
 
     def test_sweep(self, capsys):
         code = main(["--scale", "0.2", "--benchmarks", "hotspot",
@@ -184,11 +188,13 @@ class TestCommands:
         validate_chrome_trace(document)
         assert "end_cycle" in document["otherData"]
 
-    def test_fig6_figure(self, capsys):
+    def test_fig6_figure(self, capsys, tmp_path):
+        out_dir = tmp_path / "results"
         code = main(["--scale", "0.15", "--benchmarks", "hotspot",
-                     "figure", "fig6"])
+                     "figures", "--out", str(out_dir), "--figures", "fig6",
+                     "--format", "md"])
         assert code == 0
-        assert "pearson_r" in capsys.readouterr().out
+        assert "pearson_r" in (out_dir / "fig6" / "summary.md").read_text()
 
 
 class TestFiguresCommand:

@@ -33,6 +33,12 @@ class TestInventory:
         assert 2 ** bet.bits > 24
         assert bet.count == 4  # two INT + two FP clusters
 
+    def test_gates_needs_more_storage_than_blackout(self):
+        # Section 7.5: GATES' per-warp type bits and ACTV/RDY counters
+        # outweigh Blackout's four BET countdowns.
+        inventory = bits_by_technique()
+        assert inventory["GATES"] > inventory["Blackout"]
+
     def test_total_bits_consistency(self):
         assert total_storage_bits() == \
             sum(s.bits * s.count for s in SM_COUNTERS)
